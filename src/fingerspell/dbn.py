@@ -10,18 +10,16 @@ learning rate.  Hidden activations use the same sigmoid as the RBM
 conditionals in every stage.
 """
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit as sigmoid
 
+from fingerspell import container
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.errors import (
     DimensionMismatchError,
     EmptyDataError,
-    FormatError,
     LabelOutOfRangeError,
     NumericError,
 )
@@ -115,7 +113,10 @@ class Dbn:
         a = x
         for rbm in self.rbm_layers:
             a = sigmoid(a @ rbm.weights + rbm.hidden_bias)
-        return softmax(a @ self.translation_w + self.translation_b)
+        probs = softmax(a @ self.translation_w + self.translation_b)
+        if not np.all(np.isfinite(probs)):
+            raise NumericError("non-finite class scores (NaN or Inf in the input or the model)")
+        return probs
 
     def forward(self, x: np.ndarray) -> Prediction:
         """Classify one feature vector."""
@@ -379,88 +380,38 @@ def fine_tune(dbn: Dbn, train, valid, cfg: SupervisedTrainConfig, on_epoch=None)
 # ---------------------------------------------------------------------------
 # model file
 #
-# magic b"HSDBN1", uint32 little-endian header length, UTF-8 JSON header
+# A fingerspell.container with magic b"HSDBN1", JSON header
 # {"layers": [[n_visible, n_hidden], ...], "class_labels": [...]}, then the
-# tensors as little-endian float64 row-major blocks in a fixed order:
-# per RBM weights, visible_bias, hidden_bias; then translation weights and
-# bias.  The round trip is bit-exact.
+# tensors as little-endian float64 blocks in a fixed order: per RBM
+# weights, visible_bias, hidden_bias; then translation weights and bias.
+# The round trip is bit-exact.
 
 def save_model(dbn: Dbn, path) -> None:
-    header = json.dumps(
-        {
-            "layers": [[r.n_visible, r.n_hidden] for r in dbn.rbm_layers],
-            "class_labels": list(dbn.class_labels),
-        }
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for r in dbn.rbm_layers:
-            fh.write(np.ascontiguousarray(r.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(r.visible_bias, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(r.hidden_bias, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dbn.translation_w, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dbn.translation_b, dtype="<f8").tobytes())
+    header = {"layers": [[r.n_visible, r.n_hidden] for r in dbn.rbm_layers], "class_labels": list(dbn.class_labels)}
+    tensors = [t for r in dbn.rbm_layers for t in (r.weights, r.visible_bias, r.hidden_bias)]
+    container.write(path, MODEL_MAGIC, "<f8", header, tensors + [dbn.translation_w, dbn.translation_b])
 
 
-def _read_tensor(fh, shape, name, path):
-    count = int(np.prod(shape))
-    raw = fh.read(count * 8)
-    if len(raw) != count * 8:
-        raise FormatError(f"{path}: truncated tensor {name!r} (wanted {count} float64 values)")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+def _model_layout(header):
+    layers = [(nv, nh) for nv, nh in header["layers"]]
+    labels = header["class_labels"]
+    if not isinstance(labels, list) or not all(isinstance(c, str) for c in labels):
+        raise TypeError("class_labels must be a list of strings")
+    for (_, nh), (nv2, _) in zip(layers, layers[1:]):
+        if nh != nv2:
+            raise ValueError("header layer sizes do not chain")
+    for i, (nv, nh) in enumerate(layers, start=1):
+        yield f"rbm{i}.weights", (nv, nh)
+        yield f"rbm{i}.visible_bias", (nv,)
+        yield f"rbm{i}.hidden_bias", (nh,)
+    top = layers[-1][1] if layers else 0
+    yield "translation.weights", (top, len(labels))
+    yield "translation.bias", (len(labels),)
 
 
 def load_model(path) -> Dbn:
     """Read a model file; raises :class:`FormatError` on any corruption."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise FormatError(f"{path}: bad model magic {magic!r}")
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise FormatError(f"{path}: truncated header length")
-        (hlen,) = struct.unpack("<I", raw_len)
-        raw_header = fh.read(hlen)
-        if len(raw_header) != hlen:
-            raise FormatError(f"{path}: truncated header")
-        try:
-            header = json.loads(raw_header.decode("utf-8"))
-            layers = [(int(nv), int(nh)) for nv, nh in header["layers"]]
-            class_labels = tuple(header["class_labels"])
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: malformed header: {exc}") from exc
-        for (_, nh), (nv2, _) in zip(layers, layers[1:]):
-            if nh != nv2:
-                raise FormatError(f"{path}: header layer sizes do not chain")
-
-        rbms = []
-        for i, (nv, nh) in enumerate(layers):
-            w = _read_tensor(fh, (nv, nh), f"rbm{i + 1}.weights", path)
-            vb = _read_tensor(fh, (nv,), f"rbm{i + 1}.visible_bias", path)
-            hb = _read_tensor(fh, (nh,), f"rbm{i + 1}.hidden_bias", path)
-            rbms.append(Rbm(nv, nh, weights=w, visible_bias=vb, hidden_bias=hb))
-        top = layers[-1][1] if layers else 0
-        tw = _read_tensor(fh, (top, len(class_labels)), "translation.weights", path)
-        tb = _read_tensor(fh, (len(class_labels),), "translation.bias", path)
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing data after tensors")
-    return Dbn(rbms, tw, tb, class_labels)
-
-
-def models_equal(a: Dbn, b: Dbn) -> bool:
-    """Bit-exact parameter equality (used by round-trip tests)."""
-    if len(a.rbm_layers) != len(b.rbm_layers) or a.class_labels != b.class_labels:
-        return False
-    for ra, rb_ in zip(a.rbm_layers, b.rbm_layers):
-        if (
-            ra.weights.tobytes() != rb_.weights.tobytes()
-            or ra.visible_bias.tobytes() != rb_.visible_bias.tobytes()
-            or ra.hidden_bias.tobytes() != rb_.hidden_bias.tobytes()
-        ):
-            return False
-    return (
-        a.translation_w.tobytes() == b.translation_w.tobytes()
-        and a.translation_b.tobytes() == b.translation_b.tobytes()
-    )
+    header, arrays = container.read(path, MODEL_MAGIC, "<f8", _model_layout)
+    per_layer = iter(arrays[:-2])  # weights, visible_bias, hidden_bias per RBM
+    rbms = [Rbm(*w.shape, weights=w, visible_bias=vb, hidden_bias=hb) for w, vb, hb in zip(*[per_layer] * 3)]
+    return Dbn(rbms, arrays[-2], arrays[-1], header["class_labels"])

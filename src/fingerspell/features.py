@@ -13,14 +13,13 @@ Three baseline extractors (raw pixels, a 4x4 Gabor bank, three oriented
 bar filters) share the same preprocessed 128x128 inputs.
 """
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from fingerspell.errors import DimensionMismatchError, FormatError
+from fingerspell import container
+from fingerspell.errors import DimensionMismatchError
 from fingerspell.imaging import (
     DEFAULT_MAX_HAND_DEPTH_MM,
     MaskAlignment,
@@ -326,52 +325,30 @@ def feature_dim(kind: str, filter_bank: FilterBankConfig = FilterBankConfig()) -
 # ---------------------------------------------------------------------------
 # feature matrix file format
 #
-# magic b"HSFT1", uint32 little-endian header length, UTF-8 JSON header
-# {"kind", "dim", "count"}, then count*dim float32 little-endian values
-# in row-major order.
+# A fingerspell.container with magic b"HSFT1", JSON header
+# {"kind", "dim", "count"}, then count*dim float32 little-endian values in
+# row-major order.
 
 FEATURE_MAGIC = b"HSFT1"
 
 
 def write_features(path, kind: str, matrix: np.ndarray) -> None:
     """Write a (count, dim) feature matrix to the binary feature format."""
-    matrix = np.ascontiguousarray(matrix, dtype="<f4")
-    header = json.dumps({"kind": kind, "dim": int(matrix.shape[1]), "count": int(matrix.shape[0])}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(matrix.tobytes())
+    count, dim = np.shape(matrix)
+    container.write(path, FEATURE_MAGIC, "<f4", {"kind": kind, "dim": int(dim), "count": int(count)}, [matrix])
+
+
+def _feature_layout(header):
+    if not isinstance(header["kind"], str):
+        raise TypeError("kind must be a string")
+    return [("features", (header["count"], header["dim"]))]
 
 
 def read_features(path) -> tuple[str, np.ndarray]:
-    """Read a feature file; returns ``(kind, matrix)``.
+    """Read a feature file; returns ``(kind, matrix)`` with a float64 matrix.
 
     Raises :class:`FormatError` on a bad magic string, malformed header or
     truncated payload.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(FEATURE_MAGIC))
-        if magic != FEATURE_MAGIC:
-            raise FormatError(f"{path}: bad feature-file magic {magic!r}")
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise FormatError(f"{path}: truncated header length")
-        (hlen,) = struct.unpack("<I", raw_len)
-        raw_header = fh.read(hlen)
-        if len(raw_header) != hlen:
-            raise FormatError(f"{path}: truncated header")
-        try:
-            header = json.loads(raw_header.decode("utf-8"))
-            kind = header["kind"]
-            dim = int(header["dim"])
-            count = int(header["count"])
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: malformed header: {exc}") from exc
-        payload = fh.read(count * dim * 4)
-        if len(payload) != count * dim * 4:
-            raise FormatError(f"{path}: truncated feature data (expected {count}x{dim})")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing data after feature matrix")
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-    return kind, matrix.astype(np.float64)
+    header, (matrix,) = container.read(path, FEATURE_MAGIC, "<f4", _feature_layout)
+    return header["kind"], matrix.astype(np.float64)

@@ -24,7 +24,6 @@ from fingerspell.dbn import (
     backprop_gradients,
     cross_entropy_loss,
     load_model,
-    models_equal,
     pretrain,
     save_model,
     train_translation_layer,
@@ -354,7 +353,7 @@ def test_criterion_09_split_properties():
     report(9, f"{trials} seeded trials: stratified partition, no leakage, exact leave-one-out coverage")
 
 
-def test_criterion_10_serialization(tmp_path):
+def test_criterion_10_serialization(tmp_path, models_equal):
     rng = np.random.default_rng(1010)
     rbms = [
         Rbm(10, 6, weights=rng.normal(0, 0.2, (10, 6)), visible_bias=rng.normal(size=10), hidden_bias=rng.normal(size=6)),

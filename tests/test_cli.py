@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.cli import main
+from fingerspell.dbn import load_model, save_model
 from fingerspell.features import read_features
 from fingerspell.pgm import write_pgm
 
@@ -213,6 +215,28 @@ class TestPredict:
     def test_missing_input_exits_3(self, workspace):
         tmp_path, cfg = workspace
         assert main(["predict", "--config", str(cfg), "nope_d.pgm", "nope_i.pgm"]) == 3
+
+    def test_malformed_model_header_exits_3(self, workspace, tmp_path, capsys):
+        ws_path, cfg = workspace
+        depth = next((ws_path / "data" / "images").glob("*_depth.pgm"))
+        intensity = Path(str(depth).replace("_depth", "_intensity"))
+        header = json.dumps({"layers": [[-2, -3]], "class_labels": list(STATIC_LETTERS)}).encode()
+        bad = tmp_path / "bad.hsdbn"
+        bad.write_bytes(b"HSDBN1" + len(header).to_bytes(4, "little") + header + bytes(48))
+        assert main(["predict", "--config", str(cfg), "--model", str(bad), str(depth), str(intensity)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_nan_model_exits_4_without_prediction(self, workspace, tmp_path, capsys):
+        ws_path, cfg = workspace
+        depth = next((ws_path / "data" / "images").glob("*_depth.pgm"))
+        intensity = Path(str(depth).replace("_depth", "_intensity"))
+        net = load_model(ws_path / "out" / "model.hsdbn")
+        net.rbm_layers[0].weights[:] = np.nan
+        poisoned = tmp_path / "nan.hsdbn"
+        save_model(net, poisoned)
+        assert main(["predict", "--config", str(cfg), "--model", str(poisoned), str(depth), str(intensity)]) == 4
+        assert "predicted" not in capsys.readouterr().out
 
 
 class TestConfigHandling:

@@ -10,7 +10,6 @@ from fingerspell.dbn import (
     cross_entropy_loss,
     fine_tune,
     load_model,
-    models_equal,
     pretrain,
     save_model,
     softmax,
@@ -21,6 +20,7 @@ from fingerspell.errors import (
     EmptyDataError,
     FormatError,
     LabelOutOfRangeError,
+    NumericError,
 )
 from fingerspell.rbm import Rbm, RbmTrainConfig, train_rbm
 
@@ -96,6 +96,17 @@ class TestForward:
         net = toy_dbn()
         with pytest.raises(DimensionMismatchError):
             net.forward(np.zeros(7))
+
+    def test_non_finite_scores_raise(self):
+        # argmax over NaN scores would silently pick the first letter
+        net = toy_dbn(seed=6)
+        with pytest.raises(NumericError):
+            net.forward(np.full(6, np.nan))
+        net.rbm_layers[0].weights[0, 0] = np.nan
+        with pytest.raises(NumericError):
+            net.forward(np.linspace(0, 1, 6))
+        with pytest.raises(NumericError):
+            net.scores(np.ones((3, 6)))
 
     def test_softmax_stability(self):
         s = softmax(np.array([1000.0, 1000.0, -1000.0]))
@@ -248,7 +259,7 @@ class TestStage2:
 
 
 class TestStage3:
-    def test_zero_learning_rate_identity(self):
+    def test_zero_learning_rate_identity(self, models_equal):
         net = toy_dbn(seed=21)
         rng = np.random.default_rng(22)
         x = rng.random((30, 6))
@@ -313,7 +324,7 @@ class TestStage3:
 
 
 class TestModelFile:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self, tmp_path, models_equal):
         net = toy_dbn(seed=29)
         p = tmp_path / "model.hsdbn"
         save_model(net, p)
@@ -359,3 +370,15 @@ class TestModelFile:
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_model(p)
+
+    def test_fine_tune_runs_on_loaded_model(self, tmp_path):
+        # loaded parameters must be writable arrays that training updates in place
+        p = tmp_path / "m.hsdbn"
+        save_model(toy_dbn(seed=34), p)
+        net = load_model(p)
+        rng = np.random.default_rng(35)
+        x = rng.random((30, 6))
+        y = [STATIC_LETTERS[i % 24] for i in range(30)]
+        cfg = SupervisedTrainConfig(stage3=StageConfig(learning_rate=0.05, epochs=2, batch_size=10), rng_seed=36)
+        fine_tune(net, (x[:20], y[:20]), (x[20:], y[20:]), cfg)
+        train_translation_layer(net, (x[:20], y[:20]), (x[20:], y[20:]), cfg)
