@@ -169,7 +169,7 @@ def cmd_extract(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _train_one_model(cfg: RunConfig, x, rows, split_spec, log_rows, held_out=None):
+def _train_one_model(cfg: RunConfig, x, rows, split_spec, log_rows):
     train_rows, valid_rows, _ = ds.split_dataset(rows, split_spec)
     xt = x[[r.index for r in train_rows]]
     yt = [r.letter for r in train_rows]
@@ -217,7 +217,7 @@ def cmd_train(cfg: RunConfig) -> int:
             log_rows: list = []
             spec = ds.SplitSpec(mode="unseen", test_user=user, rng_seed=cfg.split.rng_seed)
             print(f"held-out user: {user}")
-            net = _train_one_model(cfg, x, rows, spec, log_rows, held_out=user)
+            net = _train_one_model(cfg, x, rows, spec, log_rows)
             model_path = _model_path_for_user(cfg.paths.model, user)
             Path(model_path).parent.mkdir(parents=True, exist_ok=True)
             dbn_mod.save_model(net, model_path)
@@ -229,7 +229,7 @@ def cmd_train(cfg: RunConfig) -> int:
     held_out = cfg.split.test_user if cfg.split.mode == "unseen" else None
     if held_out is not None:
         print(f"held-out user: {held_out}")
-    net = _train_one_model(cfg, x, rows, cfg.split, log_rows, held_out=held_out)
+    net = _train_one_model(cfg, x, rows, cfg.split, log_rows)
     Path(cfg.paths.model).parent.mkdir(parents=True, exist_ok=True)
     dbn_mod.save_model(net, cfg.paths.model)
     _write_train_log(out / "train_log.csv", sizes, cfg, log_rows, held_out=held_out)

@@ -23,7 +23,7 @@ from fingerspell.errors import (
     LabelOutOfRangeError,
     NumericError,
 )
-from fingerspell.rbm import Rbm, RbmTrainConfig, train_rbm
+from fingerspell.rbm import Rbm, RbmTrainConfig, StepScratch, param_step, train_rbm
 
 DEFAULT_LAYER_SIZES = (1500, 700, 400)
 
@@ -62,9 +62,20 @@ class Prediction:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Class probabilities; raises :class:`NumericError` unless all are finite."""
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("non-finite class scores (NaN or Inf in the input or the model)")
+    return probs
+
+
+def _top_activations(layers, x: np.ndarray) -> np.ndarray:
+    """Sigmoid activations of the last of ``layers`` (``x`` itself when there are none)."""
+    for rbm in layers:
+        x = sigmoid(x @ rbm.weights + rbm.hidden_bias)
+    return x
 
 
 class Dbn:
@@ -110,13 +121,7 @@ class Dbn:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.input_dim:
             raise DimensionMismatchError(f"input length {x.shape[-1]} != {self.input_dim}")
-        a = x
-        for rbm in self.rbm_layers:
-            a = sigmoid(a @ rbm.weights + rbm.hidden_bias)
-        probs = softmax(a @ self.translation_w + self.translation_b)
-        if not np.all(np.isfinite(probs)):
-            raise NumericError("non-finite class scores (NaN or Inf in the input or the model)")
-        return probs
+        return softmax(_top_activations(self.rbm_layers, x) @ self.translation_w + self.translation_b)
 
     def forward(self, x: np.ndarray) -> Prediction:
         """Classify one feature vector."""
@@ -180,26 +185,30 @@ def labels_to_indices(labels, class_labels) -> np.ndarray:
     return out
 
 
-def cross_entropy_loss(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray) -> float:
-    """Mean softmax cross-entropy of a labeled batch (no decay terms)."""
-    probs = dbn.scores(np.atleast_2d(x))
+def _mean_nll(probs: np.ndarray, y_idx: np.ndarray) -> float:
     picked = probs[np.arange(len(y_idx)), y_idx]
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+
+
+def cross_entropy_loss(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray) -> float:
+    """Mean softmax cross-entropy of a labeled batch (no decay terms)."""
+    return _mean_nll(dbn.scores(np.atleast_2d(x)), y_idx)
 
 
 def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray):
     """Gradients of the mean cross-entropy w.r.t. every network parameter.
 
-    Returns ``(rbm_w_grads, rbm_hb_grads, trans_w_grad, trans_b_grad)``;
-    visible biases take no part in the feed-forward pass.
+    Returns ``(rbm_w_grads, rbm_hb_grads, trans_w_grad, trans_b_grad, loss)``;
+    visible biases take no part in the feed-forward pass.  ``loss`` is the
+    value :func:`cross_entropy_loss` gives on the same batch, and
+    non-finite class scores raise :class:`NumericError` as they do there.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b = x.shape[0]
     activations = dbn.hidden_activations(x)
     top = activations[-1] if activations else x
-    probs = softmax(top @ dbn.translation_w + dbn.translation_b)
-
-    dlogits = probs.copy()
+    dlogits = softmax(top @ dbn.translation_w + dbn.translation_b)
+    loss = _mean_nll(dlogits, y_idx)
     dlogits[np.arange(b), y_idx] -= 1.0
     dlogits /= b
 
@@ -215,47 +224,50 @@ def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray):
         prev = activations[k - 1] if k > 0 else x
         rbm_w_grads[k] = prev.T @ dz
         rbm_hb_grads[k] = dz.sum(axis=0)
-        da = dz @ dbn.rbm_layers[k].weights.T
-    return rbm_w_grads, rbm_hb_grads, gw_t, gb_t
+        if k > 0:  # the input itself takes no gradient
+            da = dz @ dbn.rbm_layers[k].weights.T
+    return rbm_w_grads, rbm_hb_grads, gw_t, gb_t, loss
 
 
 # ---------------------------------------------------------------------------
 # supervised stages
 
-def _validate_labeled(data, class_labels):
+def _validate_labeled(data, dbn):
     x, labels = data
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] == 0:
         raise EmptyDataError("labeled feature set is empty")
-    y = labels_to_indices(labels, class_labels)
+    if x.shape[1] != dbn.input_dim:
+        raise DimensionMismatchError(f"feature width {x.shape[1]} != network input {dbn.input_dim}")
+    y = labels_to_indices(labels, dbn.class_labels)
     if len(y) != x.shape[0]:
         raise DimensionMismatchError("feature rows and labels differ in count")
     return x, y
 
 
-def train_translation_layer(dbn: Dbn, train, valid, cfg: SupervisedTrainConfig, on_epoch=None) -> Dbn:
-    """Stage 2: fit the translation layer only, RBM layers frozen.
+def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) -> None:
+    """Fit every parameter of ``net`` by backprop on the output of the ``frozen`` RBM layers.
 
-    ``train`` and ``valid`` are ``(features, labels)`` pairs.  Each
-    presentation adds fresh Gaussian noise (``input_noise_sigma``) to the
-    input, clamped back to [0, 1]; validation cross-entropy (no noise) is
-    evaluated after every epoch and the best-validation parameters are
-    restored at the end.  ``on_epoch(epoch, train_loss, valid_loss)``.
+    The shared loop of both supervised stages.  Each epoch reshuffles the
+    rows; each presentation adds fresh Gaussian noise
+    (``input_noise_sigma``) to the input, clamped back to [0, 1].  Weights
+    take momentum and L2 decay, biases momentum only.  Validation
+    cross-entropy (no noise) is evaluated after every epoch; after
+    ``early_stopping_patience`` epochs without improvement the loop stops,
+    and the best-validation parameters are restored in place.
+    ``on_epoch(epoch, train_loss, valid_loss)``.
     """
-    xt, yt = _validate_labeled(train, dbn.class_labels)
-    xv, yv = _validate_labeled(valid, dbn.class_labels)
-    s = cfg.stage2
-    rng = np.random.default_rng(cfg.rng_seed)
+    (xt, yt), (xv, yv) = train, valid
+    top_v = _top_activations(frozen, xv)  # frozen layers give the same activations every epoch
+    params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
+    decay = [s.l2_coeff, None] * (len(params) // 2)
+    velocity = [np.zeros_like(p) for p in params]
+    scratch = StepScratch()
+    noise = np.empty((min(s.batch_size, xt.shape[0]), xt.shape[1])) if s.input_noise_sigma > 0 else None
 
-    vel_w = np.zeros_like(dbn.translation_w)
-    vel_b = np.zeros_like(dbn.translation_b)
-
-    best_loss = cross_entropy_loss(dbn, xv, yv)
-    best = (dbn.translation_w.copy(), dbn.translation_b.copy())
+    best_loss = cross_entropy_loss(net, top_v, yv)
+    best = [p.copy() for p in params]
     since_best = 0
-
-    # the frozen feature pass is deterministic only up to the added noise,
-    # so activations are recomputed per presentation
     for epoch in range(s.epochs):
         order = rng.permutation(xt.shape[0])
         losses = []
@@ -263,43 +275,48 @@ def train_translation_layer(dbn: Dbn, train, valid, cfg: SupervisedTrainConfig, 
             idx = order[start : start + s.batch_size]
             xb = xt[idx]
             if s.input_noise_sigma > 0:
-                xb = np.clip(xb + rng.normal(0.0, s.input_noise_sigma, xb.shape), 0.0, 1.0)
-            yb = yt[idx]
+                z = rng.standard_normal(out=noise[: len(idx)])
+                z *= s.input_noise_sigma
+                xb += z
+                np.clip(xb, 0.0, 1.0, out=xb)
+            rw, rb, gw, gb, loss = backprop_gradients(net, _top_activations(frozen, xb), yt[idx])
+            losses.append(loss)
+            grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
+            for p, v, g, l2 in zip(params, velocity, grads, decay):
+                param_step(p, v, g, s.momentum, -s.learning_rate, l2=l2, scratch=scratch)
+            for rbm in net.rbm_layers:
+                rbm.check_finite()
 
-            top = xb
-            for rbm in dbn.rbm_layers:
-                top = sigmoid(top @ rbm.weights + rbm.hidden_bias)
-            probs = softmax(top @ dbn.translation_w + dbn.translation_b)
-            picked = probs[np.arange(len(yb)), yb]
-            losses.append(-np.mean(np.log(np.maximum(picked, 1e-300))))
-
-            dlogits = probs
-            dlogits[np.arange(len(yb)), yb] -= 1.0
-            dlogits /= len(yb)
-            gw = top.T @ dlogits
-            gb = dlogits.sum(axis=0)
-
-            vel_w = s.momentum * vel_w - s.learning_rate * (gw + s.l2_coeff * dbn.translation_w)
-            vel_b = s.momentum * vel_b - s.learning_rate * gb
-            dbn.translation_w += vel_w
-            dbn.translation_b += vel_b
-
-        if not np.all(np.isfinite(dbn.translation_w)):
+        if not np.all(np.isfinite(net.translation_w)):
             raise NumericError("non-finite translation weights")
-        val_loss = cross_entropy_loss(dbn, xv, yv)
+        val_loss = cross_entropy_loss(net, top_v, yv)
         if on_epoch is not None:
             on_epoch(epoch, float(np.mean(losses)), val_loss)
         if val_loss < best_loss:
             best_loss = val_loss
-            best = (dbn.translation_w.copy(), dbn.translation_b.copy())
+            for b, p in zip(best, params):
+                np.copyto(b, p)
             since_best = 0
         else:
             since_best += 1
             if since_best >= s.early_stopping_patience:
                 break
+    for p, b in zip(params, best):
+        np.copyto(p, b)
 
-    dbn.translation_w = best[0]
-    dbn.translation_b = best[1]
+
+def train_translation_layer(dbn: Dbn, train, valid, cfg: SupervisedTrainConfig, on_epoch=None) -> Dbn:
+    """Stage 2: fit the translation layer only, RBM layers frozen.
+
+    ``train`` and ``valid`` are ``(features, labels)`` pairs.  The stage
+    trains a network made of the translation layer alone on the RBM
+    stack's activations, so the RBM parameters are never written.  See
+    :func:`_run_stage` for noise, early stopping and best-validation
+    restore.  ``on_epoch(epoch, train_loss, valid_loss)``.
+    """
+    train, valid = _validate_labeled(train, dbn), _validate_labeled(valid, dbn)
+    head = Dbn([], dbn.translation_w, dbn.translation_b, dbn.class_labels)
+    _run_stage(head, dbn.rbm_layers, train, valid, cfg.stage2, np.random.default_rng(cfg.rng_seed), on_epoch)
     return dbn
 
 
@@ -310,70 +327,8 @@ def fine_tune(dbn: Dbn, train, valid, cfg: SupervisedTrainConfig, on_epoch=None)
     layer (visible biases are not part of the feed-forward net).  Early
     stopping and best-validation restore as in stage 2.
     """
-    xt, yt = _validate_labeled(train, dbn.class_labels)
-    xv, yv = _validate_labeled(valid, dbn.class_labels)
-    s = cfg.stage3
-    rng = np.random.default_rng(cfg.rng_seed + 1)
-
-    vel_rw = [np.zeros_like(r.weights) for r in dbn.rbm_layers]
-    vel_rb = [np.zeros_like(r.hidden_bias) for r in dbn.rbm_layers]
-    vel_w = np.zeros_like(dbn.translation_w)
-    vel_b = np.zeros_like(dbn.translation_b)
-
-    def snapshot():
-        return (
-            [r.weights.copy() for r in dbn.rbm_layers],
-            [r.hidden_bias.copy() for r in dbn.rbm_layers],
-            dbn.translation_w.copy(),
-            dbn.translation_b.copy(),
-        )
-
-    best_loss = cross_entropy_loss(dbn, xv, yv)
-    best = snapshot()
-    since_best = 0
-
-    for epoch in range(s.epochs):
-        order = rng.permutation(xt.shape[0])
-        losses = []
-        for start in range(0, xt.shape[0], s.batch_size):
-            idx = order[start : start + s.batch_size]
-            xb = xt[idx]
-            if s.input_noise_sigma > 0:
-                xb = np.clip(xb + rng.normal(0.0, s.input_noise_sigma, xb.shape), 0.0, 1.0)
-            yb = yt[idx]
-
-            losses.append(cross_entropy_loss(dbn, xb, yb))
-            rw, rb, gw_t, gb_t = backprop_gradients(dbn, xb, yb)
-
-            for k, rbm in enumerate(dbn.rbm_layers):
-                vel_rw[k] = s.momentum * vel_rw[k] - s.learning_rate * (rw[k] + s.l2_coeff * rbm.weights)
-                vel_rb[k] = s.momentum * vel_rb[k] - s.learning_rate * rb[k]
-                rbm.weights += vel_rw[k]
-                rbm.hidden_bias += vel_rb[k]
-                rbm.check_finite()
-            vel_w = s.momentum * vel_w - s.learning_rate * (gw_t + s.l2_coeff * dbn.translation_w)
-            vel_b = s.momentum * vel_b - s.learning_rate * gb_t
-            dbn.translation_w += vel_w
-            dbn.translation_b += vel_b
-
-        val_loss = cross_entropy_loss(dbn, xv, yv)
-        if on_epoch is not None:
-            on_epoch(epoch, float(np.mean(losses)), val_loss)
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best = snapshot()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= s.early_stopping_patience:
-                break
-
-    rws, rbs, tw, tb = best
-    for k, rbm in enumerate(dbn.rbm_layers):
-        rbm.weights = rws[k]
-        rbm.hidden_bias = rbs[k]
-    dbn.translation_w = tw
-    dbn.translation_b = tb
+    train, valid = _validate_labeled(train, dbn), _validate_labeled(valid, dbn)
+    _run_stage(dbn, [], train, valid, cfg.stage3, np.random.default_rng(cfg.rng_seed + 1), on_epoch)
     return dbn
 
 
@@ -381,13 +336,16 @@ def fine_tune(dbn: Dbn, train, valid, cfg: SupervisedTrainConfig, on_epoch=None)
 # model file
 #
 # A fingerspell.container with magic b"HSDBN1", JSON header
-# {"layers": [[n_visible, n_hidden], ...], "class_labels": [...]}, then the
-# tensors as little-endian float64 blocks in a fixed order: per RBM
+# {"layers": [[n_visible, n_hidden], ...], "class_labels": [...]} (plus
+# "input_dim", the translation layer's width, when there are no layers),
+# then the tensors as little-endian float64 blocks in a fixed order: per RBM
 # weights, visible_bias, hidden_bias; then translation weights and bias.
 # The round trip is bit-exact.
 
 def save_model(dbn: Dbn, path) -> None:
     header = {"layers": [[r.n_visible, r.n_hidden] for r in dbn.rbm_layers], "class_labels": list(dbn.class_labels)}
+    if not dbn.rbm_layers:
+        header["input_dim"] = dbn.input_dim
     tensors = [t for r in dbn.rbm_layers for t in (r.weights, r.visible_bias, r.hidden_bias)]
     container.write(path, MODEL_MAGIC, "<f8", header, tensors + [dbn.translation_w, dbn.translation_b])
 
@@ -404,7 +362,7 @@ def _model_layout(header):
         yield f"rbm{i}.weights", (nv, nh)
         yield f"rbm{i}.visible_bias", (nv,)
         yield f"rbm{i}.hidden_bias", (nh,)
-    top = layers[-1][1] if layers else 0
+    top = layers[-1][1] if layers else header["input_dim"]
     yield "translation.weights", (top, len(labels))
     yield "translation.bias", (len(labels),)
 

@@ -5,9 +5,11 @@ sampled once; the reconstruction uses visible *probabilities* (no
 sampling) and the negative hidden phase is again a probability pass.
 Momentum and L1/L2 weight decay follow the usual practical recipe; weight
 decay is applied to the weights only, never to the biases.
+:func:`param_step` applies such an update in place, a block of rows at a
+time, for CD-1 and for the supervised stages alike.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -40,21 +42,68 @@ class RbmTrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
+BLOCK_ROWS = 256  # rows per block of param_step; 64 to 512 time the same
+
+
+class StepScratch:
+    """Two block-sized work buffers for :func:`param_step`, owned by one training call."""
+
+    def __init__(self):
+        self._flat = (np.empty(0), np.empty(0))
+
+    def pair(self, shape):
+        n = shape[0] * shape[1]
+        if self._flat[0].size < n:
+            self._flat = (np.empty(n), np.empty(n))
+        return tuple(f[:n].reshape(shape) for f in self._flat)
+
+
+def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, scratch=None) -> None:
+    """``velocity = momentum*velocity + rate*(grad + l2*param + l1*sign(param)); param += velocity``.
+
+    Runs in place over ``BLOCK_ROWS`` rows of ``param`` at a time (a vector
+    is one row), so no temporary as large as ``param`` is made; every
+    element rounds as in the whole-array expression.  ``grad`` is an array
+    shaped like ``param`` or a function ``grad(start, stop, out, tmp)``
+    returning its rows ``start:stop`` written into ``out`` (``tmp`` is free
+    scratch).  ``l2``/``l1`` of ``None`` leave the term out: biases are not
+    decayed, and adding ``0*param`` could turn a ``-0.0`` into ``0.0``.
+    CD-1 climbs its gradient (``rate > 0``, negative decay coefficients);
+    the supervised stages descend (``rate < 0``).
+    """
+    scratch = StepScratch() if scratch is None else scratch
+    rows = lambda a: a if a.ndim == 2 else a[np.newaxis]
+    p, v = rows(param), rows(velocity)
+    for start in range(0, p.shape[0], BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, p.shape[0])
+        out, tmp = scratch.pair((stop - start, p.shape[1]))
+        g = grad(start, stop, out, tmp) if callable(grad) else rows(grad)[start:stop]
+        pb, vb = p[start:stop], v[start:stop]
+        if l2 is not None:
+            np.multiply(pb, l2, out=tmp)
+            g = np.add(g, tmp, out=out)
+        if l1 is not None:
+            np.sign(pb, out=tmp)
+            tmp *= l1
+            g = np.add(g, tmp, out=out)
+        np.multiply(g, rate, out=out)
+        vb *= momentum
+        vb += out
+        pb += vb
+
+
 @dataclass
 class CdState:
-    """Momentum buffers carried between CD-1 updates."""
+    """Momentum buffers carried between CD-1 updates, and the step's scratch."""
 
     d_weights: np.ndarray
     d_visible_bias: np.ndarray
     d_hidden_bias: np.ndarray
+    scratch: StepScratch = field(default_factory=StepScratch)
 
     @classmethod
     def zeros(cls, rbm: "Rbm") -> "CdState":
-        return cls(
-            d_weights=np.zeros_like(rbm.weights),
-            d_visible_bias=np.zeros_like(rbm.visible_bias),
-            d_hidden_bias=np.zeros_like(rbm.hidden_bias),
-        )
+        return cls(*(np.zeros_like(a) for a in (rbm.weights, rbm.visible_bias, rbm.hidden_bias)))
 
 
 def sample_bernoulli(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -123,26 +172,19 @@ class Rbm:
         v1 = self.visible_probabilities(h0_sample)
         h1 = self.hidden_probabilities(v1)
 
-        dw = (batch.T @ h0 - v1.T @ h1) / b
-        dvb = (batch - v1).mean(axis=0)
-        dhb = (h0 - h1).mean(axis=0)
+        def dw(start, stop, out, tmp):  # rows start:stop of (batch.T @ h0 - v1.T @ h1) / b
+            np.matmul(batch.T[start:stop], h0, out=out)
+            out -= np.matmul(v1.T[start:stop], h1, out=tmp)
+            out /= b
+            return out
 
-        state.d_weights = mom * state.d_weights + cfg.learning_rate * (
-            dw - cfg.l2_coeff * self.weights - cfg.l1_coeff * np.sign(self.weights)
-        )
-        state.d_visible_bias = mom * state.d_visible_bias + cfg.learning_rate * dvb
-        state.d_hidden_bias = mom * state.d_hidden_bias + cfg.learning_rate * dhb
-
-        self.weights += state.d_weights
-        self.visible_bias += state.d_visible_bias
-        self.hidden_bias += state.d_hidden_bias
+        lr, sc = cfg.learning_rate, state.scratch
+        param_step(self.weights, state.d_weights, dw, mom, lr, l2=-cfg.l2_coeff, l1=-cfg.l1_coeff, scratch=sc)
+        param_step(self.visible_bias, state.d_visible_bias, (batch - v1).mean(axis=0), mom, lr, scratch=sc)
+        param_step(self.hidden_bias, state.d_hidden_bias, (h0 - h1).mean(axis=0), mom, lr, scratch=sc)
 
     def check_finite(self) -> None:
-        if not (
-            np.all(np.isfinite(self.weights))
-            and np.all(np.isfinite(self.visible_bias))
-            and np.all(np.isfinite(self.hidden_bias))
-        ):
+        if not all(np.isfinite(a).all() for a in (self.weights, self.visible_bias, self.hidden_bias)):
             raise NumericError("non-finite RBM parameter after update")
 
     def copy(self) -> "Rbm":

@@ -115,7 +115,7 @@ def test_criterion_03_gradient_checks():
     net = Dbn(rbms, rng.normal(0, 0.8, (3, 24)), rng.normal(0, 0.1, 24), STATIC_LETTERS)
     x = rng.random((9, 6))
     y = rng.integers(0, 24, 9)
-    rw, rb, gw_t, gb_t = backprop_gradients(net, x, y)
+    rw, rb, gw_t, gb_t, _ = backprop_gradients(net, x, y)
 
     eps = 1e-4
     worst = 0.0
@@ -209,6 +209,7 @@ def _criterion6_config(base: Path, out: str, split: dict) -> Path:
     return path
 
 
+@pytest.mark.slow
 def test_criterion_06_end_to_end_synthetic_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("endtoend")
     start = time.monotonic()
@@ -245,6 +246,7 @@ def test_criterion_06_end_to_end_synthetic_run(tmp_path_factory):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_feature_kind_comparison():
     assert "base" in RESULTS, "criterion 6 must run first"
     base = RESULTS["base"]

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fingerspell
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.cli import main
 from fingerspell.dbn import load_model, save_model
@@ -142,6 +147,24 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "model_u00.hsdbn").exists()
         assert (tmp_path / "out" / "model_u01.hsdbn").exists()
+
+    def test_model_bytes_repeat_across_processes(self, workspace, tmp_path):
+        # same seed, config and BLAS thread count give the same model file;
+        # process "b" trains twice, so state left over from a run would show
+        src, _ = workspace
+        blas = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        models = []
+        for name, runs in (("a", 1), ("b", 2)):
+            (tmp_path / name / "out").mkdir(parents=True)
+            for f in ("features_combined.bin", "labels.csv"):
+                shutil.copy(src / "out" / f, tmp_path / name / "out" / f)
+            cfg = write_config(tmp_path / name)
+            code = f"from fingerspell.cli import main\nfor _ in range({runs}):\n    assert main(['train', '--config', {str(cfg)!r}]) == 0"
+            subprocess.run([sys.executable, "-c", code], env={**os.environ, **blas, "PYTHONPATH": pythonpath},
+                           check=True, capture_output=True, timeout=300)
+            models.append((tmp_path / name / "out" / "model.hsdbn").read_bytes())
+        assert models[0] == models[1]
 
     def test_missing_features_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path)

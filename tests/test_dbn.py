@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,7 @@ class TestGradients:
         rng = np.random.default_rng(9)
         x = rng.random((7, 6))
         y = rng.integers(0, 24, 7)
-        rw, rb, gw_t, gb_t = backprop_gradients(net, x, y)
+        rw, rb, gw_t, gb_t, _ = backprop_gradients(net, x, y)
 
         eps = 1e-4
 
@@ -179,7 +181,7 @@ class TestGradients:
         net = toy_dbn((5, 3), 24, seed=10)
         x = np.random.default_rng(11).random((4, 5))
         y = np.array([0, 5, 11, 23])
-        _, _, gw_t, gb_t = backprop_gradients(net, x, y)
+        _, _, gw_t, gb_t, _ = backprop_gradients(net, x, y)
         top = net.hidden_activations(x)[-1]
         probs = net.scores(x)
         dl = probs.copy()
@@ -187,6 +189,20 @@ class TestGradients:
         dl /= 4
         assert np.allclose(gw_t, top.T @ dl, atol=1e-12)
         assert np.allclose(gb_t, dl.sum(axis=0), atol=1e-12)
+
+
+    def test_returned_loss_is_cross_entropy(self):
+        net = toy_dbn((6, 4, 3), 24, seed=40)
+        rng = np.random.default_rng(41)
+        x = rng.random((9, 6))
+        y = rng.integers(0, 24, 9)
+        *_, loss = backprop_gradients(net, x, y)
+        assert loss == cross_entropy_loss(net, x, y)
+
+    def test_non_finite_scores_raise(self):
+        net = toy_dbn(seed=42)
+        with pytest.raises(NumericError):
+            backprop_gradients(net, np.full((2, 6), np.nan), np.array([0, 1]))
 
 
 class TestStage2:
@@ -334,6 +350,34 @@ class TestModelFile:
         p2 = tmp_path / "model2.hsdbn"
         save_model(back, p2)
         assert p.read_bytes() == p2.read_bytes()
+
+    def test_layerless_round_trip(self, tmp_path, models_equal):
+        rng = np.random.default_rng(43)
+        net = Dbn([], rng.normal(size=(5, 24)), rng.normal(size=24))
+        p = tmp_path / "m.hsdbn"
+        save_model(net, p)
+        back = load_model(p)
+        assert back.rbm_layers == [] and back.input_dim == 5
+        assert models_equal(net, back)
+
+    def test_layered_header_has_no_input_dim(self, tmp_path):
+        # the input width follows from the layers, so layered files keep their bytes
+        p = tmp_path / "m.hsdbn"
+        save_model(toy_dbn(seed=44), p)
+        assert b"input_dim" not in p.read_bytes()
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, "5", None])
+    def test_layerless_bad_input_dim(self, tmp_path, bad):
+        p = tmp_path / "m.hsdbn"
+        save_model(Dbn([], np.zeros((5, 24)), np.zeros(24)), p)
+        data = p.read_bytes()
+        header_len = int.from_bytes(data[6:10], "little")
+        header = json.loads(data[10 : 10 + header_len])
+        header["input_dim"] = bad
+        raw = json.dumps(header).encode()
+        p.write_bytes(data[:6] + len(raw).to_bytes(4, "little") + raw + data[10 + header_len :])
+        with pytest.raises(FormatError):
+            load_model(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.hsdbn"

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 from fingerspell.errors import DimensionMismatchError, EmptyDataError
-from fingerspell.rbm import CdState, Rbm, RbmTrainConfig, sample_bernoulli, train_rbm
+from fingerspell.rbm import BLOCK_ROWS, CdState, Rbm, RbmTrainConfig, StepScratch, param_step, sample_bernoulli, train_rbm
 
 
 def make_rbm(w, vb=None, hb=None):
@@ -171,6 +171,79 @@ class TestCd1Update:
         h1 = expit(v1 @ w0)
         grad = (batch.T @ h0 - v1.T @ h1) / len(batch)
         assert np.allclose((r.weights - w0) / lr, grad, atol=1e-12)
+
+
+ROW_COUNTS = (5, BLOCK_ROWS, BLOCK_ROWS + 3)  # below one block, exactly one, one plus 3
+
+
+def step_inputs(rows, seed, cols=7):
+    rng = np.random.default_rng(seed)
+    w, vel, grad = (rng.normal(0, s, (rows, cols)) for s in (0.1, 1e-3, 1e-2))
+    grad[0, :3] = (0.0, -0.0, 0.0)  # zero gradients keep their sign bit through the step
+    w[1, 0] = 0.0  # sign(0) in the L1 term
+    vb, vel_b, grad_b = (rng.normal(0, s, rows) for s in (0.1, 1e-3, 1e-2))
+    grad_b[:3] = (-0.0, 0.0, -0.0)  # with these, some bias velocities come out as -0.0
+    vel_b[:3] = (-0.0, -0.0, 0.0)
+    return w, vel, grad, vb, vel_b, grad_b
+
+
+def bytes_of(*arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestParamStep:
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_cd1_form_matches_whole_array_expression(self, rows):
+        w, vel, grad, vb, vel_b, grad_b = step_inputs(rows, seed=rows)
+        mom, lr, l1, l2 = 0.9, 0.1, 1e-5, 2e-4
+        expect_vel = mom * vel + lr * (grad - l2 * w - l1 * np.sign(w))
+        expect_w = w + expect_vel
+        expect_vel_b = mom * vel_b + lr * grad_b
+        expect_vb = vb + expect_vel_b
+
+        scratch = StepScratch()
+        param_step(w, vel, grad, mom, lr, l2=-l2, l1=-l1, scratch=scratch)
+        param_step(vb, vel_b, grad_b, mom, lr, scratch=scratch)
+        assert bytes_of(w, vel, vb, vel_b) == bytes_of(expect_w, expect_vel, expect_vb, expect_vel_b)
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_supervised_form_matches_whole_array_expression(self, rows):
+        w, vel, grad, b, vel_b, grad_b = step_inputs(rows, seed=100 + rows)
+        grad_copy = grad.copy()
+        mom, lr, l2 = 0.9, 0.01, 1e-4
+        expect_vel = mom * vel - lr * (grad + l2 * w)
+        expect_w = w + expect_vel
+        expect_vel_b = mom * vel_b - lr * grad_b
+        expect_b = b + expect_vel_b
+
+        param_step(w, vel, grad, mom, -lr, l2=l2)
+        param_step(b, vel_b, grad_b, mom, -lr)
+        assert bytes_of(w, vel, b, vel_b) == bytes_of(expect_w, expect_vel, expect_b, expect_vel_b)
+        assert np.array_equal(grad, grad_copy)  # the caller's gradient is left as it was
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_cd1_update_matches_whole_array_update(self, rows):
+        # the weight gradient is built one block of rows at a time inside the step
+        rng = np.random.default_rng(200 + rows)
+        w0, vb0, hb0 = rng.normal(0, 0.1, (rows, 9)), rng.normal(0, 0.1, rows), rng.normal(0, 0.1, 9)
+        batch = (rng.random((36, rows)) < 0.5).astype(float)
+        cfg = RbmTrainConfig(learning_rate=0.1, l1_coeff=1e-5, l2_coeff=2e-4)
+        r = make_rbm(w0.copy(), vb=vb0.copy(), hb=hb0.copy())
+        state = CdState.zeros(r)
+        state.d_weights[:] = rng.normal(0, 1e-3, w0.shape)
+        vel0 = state.d_weights.copy()
+        r.cd1_update(batch, cfg, state, np.random.default_rng(7), momentum=0.5)
+
+        h0 = expit(batch @ w0 + hb0)
+        h0s = (np.random.default_rng(7).random(h0.shape) < h0).astype(float)
+        v1 = expit(h0s @ w0.T + vb0)
+        h1 = expit(v1 @ w0 + hb0)
+        dw = (batch.T @ h0 - v1.T @ h1) / len(batch)
+        vel = 0.5 * vel0 + cfg.learning_rate * (dw - cfg.l2_coeff * w0 - cfg.l1_coeff * np.sign(w0))
+        vel_vb = 0.5 * 0.0 + cfg.learning_rate * (batch - v1).mean(axis=0)
+        vel_hb = 0.5 * 0.0 + cfg.learning_rate * (h0 - h1).mean(axis=0)
+        assert bytes_of(r.weights, state.d_weights) == bytes_of(w0 + vel, vel)
+        assert bytes_of(r.visible_bias, r.hidden_bias) == bytes_of(vb0 + vel_vb, hb0 + vel_hb)
 
 
 class TestReconstructionError:
