@@ -160,7 +160,8 @@ class TestTrain:
             for f in ("features_combined.bin", "labels.csv"):
                 shutil.copy(src / "out" / f, tmp_path / name / "out" / f)
             cfg = write_config(tmp_path / name)
-            code = f"from fingerspell.cli import main\nfor _ in range({runs}):\n    assert main(['train', '--config', {str(cfg)!r}]) == 0"
+            code = (f"from fingerspell.cli import main\n"
+                    f"for _ in range({runs}):\n    assert main(['train', '--config', {str(cfg)!r}]) == 0")
             subprocess.run([sys.executable, "-c", code], env={**os.environ, **blas, "PYTHONPATH": pythonpath},
                            check=True, capture_output=True, timeout=300)
             models.append((tmp_path / name / "out" / "model.hsdbn").read_bytes())

@@ -3,7 +3,9 @@ import pytest
 from scipy.special import expit
 
 from fingerspell.errors import DimensionMismatchError, EmptyDataError
-from fingerspell.rbm import BLOCK_ROWS, CdState, Rbm, RbmTrainConfig, StepScratch, param_step, sample_bernoulli, train_rbm
+from fingerspell.rbm import (
+    BLOCK_ROWS, CdState, Rbm, RbmTrainConfig, StepScratch, param_step, sample_bernoulli, train_rbm,
+)
 
 
 def make_rbm(w, vb=None, hb=None):
