@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,12 +147,12 @@ def cmd_extract(cfg: RunConfig) -> int:
         (s.depth, s.intensity, cfg.feature_kind, pre.max_hand_depth_mm, pre.n_layers, pre.alignment, cfg.filter_bank)
         for s in samples
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            vectors = list(pool.map(_extract_one, jobs, chunksize=16))
-    else:
-        vectors = [_extract_one(job) for job in jobs]
-    matrix = np.vstack(vectors)
+    # rows go straight into the float32 matrix the feature file stores
+    matrix = np.empty((len(jobs), feature_dim(cfg.feature_kind, cfg.filter_bank)), dtype=np.float32)
+    with ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+        vectors = map(_extract_one, jobs) if pool is None else pool.map(_extract_one, jobs, chunksize=16)
+        for i, vec in enumerate(vectors):
+            matrix[i] = vec
 
     feat_path, label_path = _feature_paths(cfg)
     feat_path.parent.mkdir(parents=True, exist_ok=True)
@@ -320,8 +321,9 @@ def cmd_predict(cfg: RunConfig, model_path, depth_path, intensity_path) -> int:
     for p in (depth_path, intensity_path):
         if not Path(p).exists():
             raise MissingFileError(f"input image not found: {p}")
-    depth = read_pgm(depth_path).astype(np.int32)
-    intensity = read_pgm(intensity_path)
+    depth, intensity = read_pgm(depth_path), read_pgm(intensity_path)
+    ds.check_pair(depth, intensity, f"{depth_path}, {intensity_path}")
+    depth = depth.astype(np.int32)
     net = dbn_mod.load_model(model_path if model_path is not None else cfg.paths.model)
     pre = cfg.preprocessing
     vec = extract_features(

@@ -64,11 +64,9 @@ class RunConfig:
         return [RbmTrainConfig(rng_seed=self.rng_seed + 21 + i) for i in range(len(self.layer_sizes))]
 
 
-_SEED_FIELDS = {
-    # component seeds derived from the global seed when not pinned in JSON
-    "split": lambda seed: seed + 11,
-    "supervised": lambda seed: seed + 31,
-}
+# component seeds derived from the global seed when not pinned in JSON
+SPLIT_SEED_OFFSET = 11
+SUPERVISED_SEED_OFFSET = 31
 
 
 def _build_stage(d: dict, defaults: StageConfig) -> StageConfig:
@@ -110,14 +108,14 @@ def config_from_dict(data: dict) -> RunConfig:
         supervised = SupervisedTrainConfig(
             stage2=stage2,
             stage3=stage3,
-            rng_seed=sup_raw.get("rng_seed", _SEED_FIELDS["supervised"](seed)),
+            rng_seed=sup_raw.get("rng_seed", seed + SUPERVISED_SEED_OFFSET),
         )
 
         split_raw = dict(data.get("split", {}))
         split = SplitSpec(
             mode=split_raw.get("mode", "allseen"),
             test_user=split_raw.get("test_user"),
-            rng_seed=split_raw.get("rng_seed", _SEED_FIELDS["split"](seed)),
+            rng_seed=split_raw.get("rng_seed", seed + SPLIT_SEED_OFFSET),
         )
 
         return RunConfig(

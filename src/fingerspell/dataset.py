@@ -52,58 +52,74 @@ class SplitSpec:
             raise ValueError(f"unknown split mode {self.mode!r}")
 
 
-def _check_dims(img: np.ndarray, what: str, row: str):
-    h, w = img.shape
-    if not (MIN_SIDE <= w <= MAX_SIDE and MIN_SIDE <= h <= MAX_SIDE):
-        raise FormatError(f"{row}: {what} image {w}x{h} outside [{MIN_SIDE},{MAX_SIDE}]")
+def check_pair(depth: np.ndarray, intensity: np.ndarray, where: str) -> None:
+    """Raise :class:`FormatError` (naming ``where``) unless the pair is loadable.
+
+    The intensity image must be 8-bit, and every side of both images must
+    lie in [``MIN_SIDE``, ``MAX_SIDE``].
+    """
+    if intensity.dtype != np.uint8:
+        raise FormatError(f"{where}: intensity image must be an 8-bit PGM")
+    for what, img in (("depth", depth), ("intensity", intensity)):
+        h, w = img.shape
+        if not (MIN_SIDE <= w <= MAX_SIDE and MIN_SIDE <= h <= MAX_SIDE):
+            raise FormatError(f"{where}: {what} image {w}x{h} outside [{MIN_SIDE},{MAX_SIDE}]")
 
 
 def load_dataset(manifest_path) -> list:
     """Read every manifest row into a validated :class:`Sample` list.
 
-    Errors carry the offending row: missing files, bad PGMs, letters
-    outside the static alphabet, duplicate paths.  Sample order follows
-    manifest row order.
+    Errors carry the offending row: missing or unreadable files, bad PGMs,
+    rows with fewer fields than the header, letters outside the static
+    alphabet, duplicate paths.  Sample order follows manifest row order.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise MissingFileError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
+    required = {"depth_path", "intensity_path", "user", "letter"}
+    try:
+        with open(manifest_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            fieldnames = reader.fieldnames
+            records = list(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{manifest_path}: unreadable manifest: {exc}") from exc
+    if fieldnames is None or not required.issubset(fieldnames):
+        raise FormatError(f"{manifest_path}: manifest header must contain {sorted(required)}")
+
     samples = []
     seen_paths = set()
-    with open(manifest_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"depth_path", "intensity_path", "user", "letter"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise FormatError(f"{manifest_path}: manifest header must contain {sorted(required)}")
-        for lineno, rec in enumerate(reader, start=2):
-            row = f"{manifest_path}:{lineno}"
-            letter = rec["letter"].strip()
-            if letter not in STATIC_LETTERS:
-                raise UnknownLetterError(f"{row}: letter {letter!r} is not a static alphabet letter")
-            pair = []
-            for key in ("depth_path", "intensity_path"):
-                rel = rec[key].strip()
-                if rel in seen_paths:
-                    raise FormatError(f"{row}: duplicate path {rel!r} in manifest")
-                seen_paths.add(rel)
-                p = base / rel
-                if not p.exists():
+    for lineno, rec in enumerate(records, start=2):
+        row = f"{manifest_path}:{lineno}"
+        if any(rec[key] is None for key in required):
+            raise FormatError(f"{row}: row has fewer fields than the header")
+        letter = rec["letter"].strip()
+        if letter not in STATIC_LETTERS:
+            raise UnknownLetterError(f"{row}: letter {letter!r} is not a static alphabet letter")
+        pair = []
+        for key in ("depth_path", "intensity_path"):
+            rel = rec[key].strip()
+            if rel in seen_paths:
+                raise FormatError(f"{row}: duplicate path {rel!r} in manifest")
+            seen_paths.add(rel)
+            p = base / rel
+            try:
+                if not p.is_file():
                     raise MissingFileError(f"{row}: missing file {p}")
                 pair.append(read_pgm(p))
-            depth, intensity = pair
-            if intensity.dtype != np.uint8:
-                raise FormatError(f"{row}: intensity image must be an 8-bit PGM")
-            _check_dims(depth, "depth", row)
-            _check_dims(intensity, "intensity", row)
-            samples.append(
-                Sample(
-                    user_id=rec["user"].strip(),
-                    letter=letter,
-                    depth=depth.astype(np.int32),
-                    intensity=intensity,
-                )
+            except OSError as exc:
+                raise MissingFileError(f"{row}: cannot read {p}: {exc}") from exc
+        depth, intensity = pair
+        check_pair(depth, intensity, row)
+        samples.append(
+            Sample(
+                user_id=rec["user"].strip(),
+                letter=letter,
+                depth=depth.astype(np.int32),
+                intensity=intensity,
             )
+        )
     return samples
 
 

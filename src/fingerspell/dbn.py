@@ -195,13 +195,16 @@ def cross_entropy_loss(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray) -> float:
     return _mean_nll(dbn.scores(np.atleast_2d(x)), y_idx)
 
 
-def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray):
+def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray, w_out=None):
     """Gradients of the mean cross-entropy w.r.t. every network parameter.
 
     Returns ``(rbm_w_grads, rbm_hb_grads, trans_w_grad, trans_b_grad, loss)``;
     visible biases take no part in the feed-forward pass.  ``loss`` is the
     value :func:`cross_entropy_loss` gives on the same batch, and
     non-finite class scores raise :class:`NumericError` as they do there.
+    ``w_out``, one array shaped like each RBM weight matrix, receives the
+    RBM weight gradients (which are then those arrays), so a training loop
+    does not allocate them anew for every batch.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b = x.shape[0]
@@ -222,7 +225,7 @@ def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray):
         a = activations[k]
         dz = da * a * (1.0 - a)
         prev = activations[k - 1] if k > 0 else x
-        rbm_w_grads[k] = prev.T @ dz
+        rbm_w_grads[k] = np.matmul(prev.T, dz, out=None if w_out is None else w_out[k])
         rbm_hb_grads[k] = dz.sum(axis=0)
         if k > 0:  # the input itself takes no gradient
             da = dz @ dbn.rbm_layers[k].weights.T
@@ -262,6 +265,7 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
     params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
     decay = [s.l2_coeff, None] * (len(params) // 2)
     velocity = [np.zeros_like(p) for p in params]
+    w_grads = [np.empty_like(r.weights) for r in net.rbm_layers]
     scratch = StepScratch()
     noise = np.empty((min(s.batch_size, xt.shape[0]), xt.shape[1])) if s.input_noise_sigma > 0 else None
 
@@ -279,7 +283,7 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
                 z *= s.input_noise_sigma
                 xb += z
                 np.clip(xb, 0.0, 1.0, out=xb)
-            rw, rb, gw, gb, loss = backprop_gradients(net, _top_activations(frozen, xb), yt[idx])
+            rw, rb, gw, gb, loss = backprop_gradients(net, _top_activations(frozen, xb), yt[idx], w_out=w_grads)
             losses.append(loss)
             grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
             for p, v, g, l2 in zip(params, velocity, grads, decay):

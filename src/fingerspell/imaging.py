@@ -13,9 +13,14 @@ returned.  Nearest-neighbor sampling rounds half away from zero
 (``floor(x + 0.5)``); bounding-box centering places odd leftover margins
 on the right/bottom.  Both conventions are fixed here and relied on by
 the feature extractors.
+
+Resampling gathers along one axis at a time through index tables that
+depend only on the input and output sizes; they are built once, cached
+and read-only.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,6 +93,24 @@ def make_mask(img: np.ndarray) -> np.ndarray:
     return (img > 0).astype(np.uint8)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # cached tables are shared by every caller
+    return a
+
+
+@lru_cache(maxsize=256)
+def _aligned_index(n_in: int, n_out: int, scale: float, offset: float):
+    """Source indices of the in-bounds outputs of :func:`align_mask` along one axis, and their slice.
+
+    ``scale > 0`` makes the indices nondecreasing, so the in-bounds outputs
+    form one contiguous run.
+    """
+    idx = np.floor(np.arange(n_out) * scale + offset + 0.5).astype(np.int64)
+    ok = np.flatnonzero((idx >= 0) & (idx < n_in))
+    run = slice(int(ok[0]), int(ok[-1]) + 1) if ok.size else slice(0, 0)
+    return _read_only(idx[ok]), run
+
+
 def align_mask(mask: np.ndarray, a: MaskAlignment, target_w: int, target_h: int) -> np.ndarray:
     """Resample a mask through a scale+offset map with nearest-neighbor lookup.
 
@@ -95,15 +118,12 @@ def align_mask(mask: np.ndarray, a: MaskAlignment, target_w: int, target_h: int)
     matching target size the output equals the input.
     """
     h, w = mask.shape
-    xs = np.arange(target_w) * a.scale_x + a.offset_x
-    ys = np.arange(target_h) * a.scale_y + a.offset_y
-    ix = np.floor(xs + 0.5).astype(np.int64)
-    iy = np.floor(ys + 0.5).astype(np.int64)
-    ok_x = (ix >= 0) & (ix < w)
-    ok_y = (iy >= 0) & (iy < h)
+    if a == MaskAlignment() and (h, w) == (target_h, target_w):
+        return mask.astype(np.uint8)
+    iy, rows = _aligned_index(h, target_h, a.scale_y, a.offset_y)
+    ix, cols = _aligned_index(w, target_w, a.scale_x, a.offset_x)
     out = np.zeros((target_h, target_w), dtype=np.uint8)
-    if ok_x.any() and ok_y.any():
-        out[np.ix_(ok_y, ok_x)] = mask[np.ix_(iy[ok_y], ix[ok_x])]
+    out[rows, cols] = mask.take(iy, axis=0).take(ix, axis=1)
     return out
 
 
@@ -124,8 +144,8 @@ def bounding_box_center(img: np.ndarray, target_w: int, target_h: int) -> np.nda
     extra pixel on the right/bottom.  An image with no nonzero pixel
     yields an all-zero canvas.
     """
-    rows = np.any(img != 0, axis=1)
-    cols = np.any(img != 0, axis=0)
+    nonzero = img != 0
+    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
     canvas = np.zeros((target_h, target_w), dtype=img.dtype)
     if not rows.any():
         return canvas
@@ -141,6 +161,22 @@ def bounding_box_center(img: np.ndarray, target_w: int, target_h: int) -> np.nda
     ox = (target_w - bw) // 2
     canvas[oy : oy + bh, ox : ox + bw] = img[y0 : y1 + 1, x0 : x1 + 1]
     return canvas
+
+
+@lru_cache(maxsize=256)
+def nearest_index(n_in: int, n_out: int) -> np.ndarray:
+    """Source index ``floor((i + 0.5) * n_in / n_out)`` of each nearest-sampled output (read-only)."""
+    idx = np.floor((np.arange(n_out) + 0.5) * (n_in / n_out)).astype(np.int64)
+    np.clip(idx, 0, n_in - 1, out=idx)
+    return _read_only(idx)
+
+
+@lru_cache(maxsize=256)
+def _bilinear_index(n_in: int, n_out: int):
+    """``(i0, i1, weight)`` of each bilinear output along one axis (read-only)."""
+    f = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0, n_in - 1)
+    i0 = np.floor(f).astype(np.int64)
+    return _read_only(i0), _read_only(np.minimum(i0 + 1, n_in - 1)), _read_only(f - i0)
 
 
 def resize(img: np.ndarray, target_w: int, target_h: int, mode: str = "bilinear") -> np.ndarray:
@@ -162,31 +198,29 @@ def resize(img: np.ndarray, target_w: int, target_h: int, mode: str = "bilinear"
         return img.copy()
 
     if mode == "nearest":
-        ix = np.floor((np.arange(target_w) + 0.5) * (w / target_w)).astype(np.int64)
-        iy = np.floor((np.arange(target_h) + 0.5) * (h / target_h)).astype(np.int64)
-        np.clip(ix, 0, w - 1, out=ix)
-        np.clip(iy, 0, h - 1, out=iy)
-        return img[np.ix_(iy, ix)].copy()
+        return img.take(nearest_index(h, target_h), axis=0).take(nearest_index(w, target_w), axis=1)
 
-    fx = np.clip((np.arange(target_w) + 0.5) * (w / target_w) - 0.5, 0, w - 1)
-    fy = np.clip((np.arange(target_h) + 0.5) * (h / target_h) - 0.5, 0, h - 1)
-    x0 = np.floor(fx).astype(np.int64)
-    y0 = np.floor(fy).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wx = fx - x0
-    wy = (fy - y0)[:, None]
-
+    x0, x1, wx = _bilinear_index(w, target_w)
+    y0, y1, wy = _bilinear_index(h, target_h)
     src = img.astype(np.float64)
-    # lerp form keeps constant regions exactly constant in float arithmetic
-    top = src[np.ix_(y0, x0)] + wx * (src[np.ix_(y0, x1)] - src[np.ix_(y0, x0)])
-    bot = src[np.ix_(y1, x0)] + wx * (src[np.ix_(y1, x1)] - src[np.ix_(y1, x0)])
-    out = top + wy * (bot - top)
+    # lerp form keeps constant regions exactly constant in float arithmetic.
+    # Every source row is lerped along x, then rows y0/y1 of that along y,
+    # in place: IEEE + and * commute, so each value rounds as a + w * (b - a)
+    left = src.take(x0, axis=1)
+    rows = src.take(x1, axis=1)
+    rows -= left
+    rows *= wx
+    rows += left
+    top = rows.take(y0, axis=0)
+    out = rows.take(y1, axis=0)
+    out -= top
+    out *= wy[:, None]
+    out += top
 
     if np.issubdtype(img.dtype, np.integer):
-        out = np.rint(out)
+        np.rint(out, out=out)
         info = np.iinfo(img.dtype)
-        out = np.clip(out, info.min, info.max).astype(img.dtype)
+        out = np.clip(out, info.min, info.max, out=out).astype(img.dtype)
     return out
 
 

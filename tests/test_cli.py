@@ -13,7 +13,8 @@ import fingerspell
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.cli import main
 from fingerspell.dbn import load_model, save_model
-from fingerspell.features import read_features
+from fingerspell.dataset import load_dataset
+from fingerspell.features import extract_features, read_features, write_features
 from fingerspell.pgm import write_pgm
 
 
@@ -108,6 +109,27 @@ class TestExtract:
         single = (tmp_path / "out" / "features_combined.bin").read_bytes()
         main(["extract", "--config", str(cfg), "--workers", "2"])
         assert (tmp_path / "out" / "features_combined.bin").read_bytes() == single
+
+    def test_file_equals_stacked_float64_vectors(self, tmp_path):
+        # rows are written straight into a float32 matrix; the writer used to round a float64 stack
+        cfg = write_config(tmp_path)
+        main(["gen-synthetic", "--config", str(cfg), "--users", "1", "--per-class", "1"])
+        main(["extract", "--config", str(cfg)])
+        samples = load_dataset(tmp_path / "data" / "manifest.csv")
+        stacked = np.vstack([extract_features(s.depth, s.intensity) for s in samples])
+        write_features(tmp_path / "stacked.bin", "combined", stacked)
+        assert (tmp_path / "out" / "features_combined.bin").read_bytes() == (tmp_path / "stacked.bin").read_bytes()
+
+    def test_short_manifest_row_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        main(["gen-synthetic", "--config", str(cfg), "--users", "1", "--per-class", "1"])
+        manifest = tmp_path / "data" / "manifest.csv"
+        rows = manifest.read_text().splitlines()
+        rows[3] = ",".join(rows[3].split(",")[:2])  # only the two paths
+        manifest.write_text("\n".join(rows) + "\n")
+        assert main(["extract", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.csv:4" in err and "fewer fields" in err and "Traceback" not in err
 
 
 class TestTrain:
@@ -235,6 +257,24 @@ class TestPredict:
         write_pgm(depth, np.zeros((64, 64), dtype=np.uint16))
         write_pgm(intensity, np.zeros((64, 64), dtype=np.uint8))
         assert main(["predict", "--config", str(cfg), str(depth), str(intensity)]) == 3
+
+    def test_16bit_intensity_exits_3(self, workspace, tmp_path, capsys):
+        ws_path, cfg = workspace
+        depth = next((ws_path / "data" / "images").glob("*_depth.pgm"))
+        intensity = tmp_path / "wide_intensity.pgm"
+        write_pgm(intensity, np.full((100, 100), 300, dtype=np.uint16))
+        assert main(["predict", "--config", str(cfg), str(depth), str(intensity)]) == 3
+        err = capsys.readouterr().err
+        assert "8-bit" in err and "Traceback" not in err
+
+    def test_too_small_images_exit_3(self, workspace, tmp_path, capsys):
+        ws_path, cfg = workspace
+        depth, intensity = tmp_path / "small_depth.pgm", tmp_path / "small_intensity.pgm"
+        write_pgm(depth, np.full((8, 8), 700, dtype=np.uint16))
+        write_pgm(intensity, np.full((8, 8), 90, dtype=np.uint8))
+        assert main(["predict", "--config", str(cfg), str(depth), str(intensity)]) == 3
+        captured = capsys.readouterr()
+        assert "outside [32,256]" in captured.err and "predicted" not in captured.out
 
     def test_missing_input_exits_3(self, workspace):
         tmp_path, cfg = workspace

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.dataset import (
@@ -14,6 +16,7 @@ from fingerspell.dataset import (
     write_dataset,
 )
 from fingerspell.errors import (
+    FingerspellError,
     FormatError,
     MissingFileError,
     UnknownLetterError,
@@ -135,6 +138,28 @@ class TestLoadDataset:
     def test_manifest_missing(self, tmp_path):
         with pytest.raises(MissingFileError):
             load_dataset(tmp_path / "nothing.csv")
+
+    def test_short_row_names_row(self, tmp_path):
+        manifest = self.write_minimal(tmp_path)
+        rows = manifest.read_text().splitlines()
+        rows[2] = ",".join(rows[2].split(",")[:2])
+        manifest.write_text("\n".join(rows) + "\n")
+        with pytest.raises(FormatError, match=":3: row has fewer fields"):
+            load_dataset(manifest)
+
+    def test_directory_path_is_missing_file(self, tmp_path):
+        manifest = self.write_minimal(tmp_path)
+        rows = manifest.read_text().splitlines()
+        rows[1] = "images," + rows[1].split(",", 1)[1]
+        manifest.write_text("\n".join(rows) + "\n")
+        with pytest.raises(MissingFileError, match=":2"):
+            load_dataset(manifest)
+
+    def test_invalid_utf8_is_format_error(self, tmp_path):
+        manifest = self.write_minimal(tmp_path)
+        manifest.write_bytes(manifest.read_bytes() + b"\xff\xfe,x,u0,A\n")
+        with pytest.raises(FormatError, match="unreadable manifest"):
+            load_dataset(manifest)
 
     def test_dimension_bounds_enforced(self, tmp_path):
         img = np.zeros((10, 10), dtype=np.uint16)
@@ -268,3 +293,98 @@ class TestSplitDatasetDispatch:
         t1 = split_dataset(samples, SplitSpec(mode="allseen", rng_seed=0))
         t2 = split_dataset(samples, SplitSpec(mode="unseen", test_user="u00", rng_seed=0))
         assert len(t1[2]) == 2 and {s.user_id for s in t2[2]} == {"u00"}
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every PGM and manifest either loads or raises a FingerspellError
+
+
+def loads_or_package_error(read, path):
+    try:
+        read(path)
+    except FingerspellError:
+        pass
+
+
+def pgm_bytes(fields, payload):
+    return b"P5\n" + b" ".join(fields[:2]) + b"\n" + fields[2] + b"\n" + payload
+
+
+VALID_PGMS = {
+    "8-bit": ([b"5", b"3", b"255"], bytes(range(15))),
+    "16-bit": ([b"4", b"2", b"65535"], bytes(range(16))),
+}
+header_tokens = st.one_of(
+    st.integers(-(2**70), 2**70).map(lambda v: str(v).encode()),
+    st.binary(max_size=6),
+    st.sampled_from([b"", b"0", b"256", b"65536", b"1e3", b"+5", b"#", b"\x00"]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    """One file that every PGM fuzz example overwrites."""
+    return tmp_path_factory.mktemp("pgm_fuzz") / "f.pgm"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=300))
+def test_fuzz_pgm_any_bytes_after_magic(fuzz_file, tail):
+    fuzz_file.write_bytes(b"P5" + tail)
+    loads_or_package_error(read_pgm, fuzz_file)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(VALID_PGMS)), st.integers(0, 2), header_tokens, st.integers(0, 40))
+def test_fuzz_pgm_header_field_mutation(fuzz_file, which, field, token, payload_len):
+    fields, _ = VALID_PGMS[which]
+    fields = list(fields)
+    fields[field] = token
+    fuzz_file.write_bytes(pgm_bytes(fields, bytes(payload_len)))
+    loads_or_package_error(read_pgm, fuzz_file)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(VALID_PGMS)), st.data())
+def test_fuzz_pgm_truncation(fuzz_file, which, data):
+    full = pgm_bytes(*VALID_PGMS[which])
+    fuzz_file.write_bytes(full[: data.draw(st.integers(0, len(full) - 1))])
+    with pytest.raises(FormatError):
+        read_pgm(fuzz_file)
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """A two-sample dataset; returns ``(directory, manifest text)``."""
+    d = tmp_path_factory.mktemp("manifest_fuzz")
+    rng = np.random.default_rng(5)
+    samples = [
+        Sample(u, "A", rng.integers(500, 700, (40, 40)).astype(np.int32), rng.integers(0, 256, (40, 40), np.uint8))
+        for u in ("u0", "u1")
+    ]
+    manifest = write_dataset(d / "manifest.csv", samples)
+    return d, manifest.read_text()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzz_mutated_manifest(manifest_dir, data):
+    d, text = manifest_dir
+    rows = [line.split(",") for line in text.splitlines()]
+    action = data.draw(st.sampled_from(["cell", "drop_field", "duplicate_row", "truncate", "insert_bytes"]))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[i]) - 1))
+    if action == "cell":
+        rows[i][j] = data.draw(st.one_of(st.text(max_size=12), st.sampled_from(["", "images", ".", "manifest.csv"])))
+    elif action == "drop_field":
+        del rows[i][j]
+    elif action == "duplicate_row":
+        rows.insert(i, list(rows[i]))
+    raw = "\n".join(",".join(r) for r in rows).encode("utf-8") + b"\n"
+    if action == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw)))]
+    elif action == "insert_bytes":
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=8)) + raw[at:]
+    (d / "manifest.csv").write_bytes(raw)
+    loads_or_package_error(load_dataset, d / "manifest.csv")

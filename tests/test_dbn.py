@@ -331,6 +331,41 @@ class TestStage3:
         acc = np.mean([p == t for p, t in zip(preds, valid[1])])
         assert acc > 0.9
 
+    def test_gradients_into_caller_buffers_match_fresh_arrays(self):
+        net = toy_dbn((6, 4, 3), 24, seed=44)
+        rng = np.random.default_rng(45)
+        x, y = rng.random((9, 6)), rng.integers(0, 24, 9)
+        buffers = [np.full_like(r.weights, np.nan) for r in net.rbm_layers]
+        into = backprop_gradients(net, x, y, w_out=buffers)
+        fresh = backprop_gradients(net, x, y)
+        assert all(g is b for g, b in zip(into[0], buffers))
+        assert [g.tobytes() for g in into[0]] == [g.tobytes() for g in fresh[0]]
+
+    @pytest.mark.parametrize("rows", (5, 256, 259))
+    def test_parameters_match_whole_array_gradient_form(self, rows, monkeypatch, models_equal):
+        # the stage writes each batch's weight gradients into buffers it owns;
+        # the reference run lets backprop_gradients allocate them every batch
+        import fingerspell.dbn as dbn_mod
+
+        rng = np.random.default_rng(300 + rows)
+        net = toy_dbn((rows, 7, 5), 24, seed=rows, scale=0.1)
+        data = (rng.random((40, rows)), [STATIC_LETTERS[i % 24] for i in range(40)])
+        cfg = SupervisedTrainConfig(stage3=StageConfig(learning_rate=0.05, epochs=3, batch_size=16), rng_seed=rows)
+        whole = net.copy()
+        fine_tune(net, data, data, cfg)  # validating on the training rows, so the stage keeps its steps
+        assert not models_equal(net, whole)
+
+        original, calls = dbn_mod.backprop_gradients, []
+
+        def allocating(dbn, xb, yb, w_out=None):
+            calls.append(w_out is not None)
+            return original(dbn, xb, yb)
+
+        monkeypatch.setattr(dbn_mod, "backprop_gradients", allocating)
+        fine_tune(whole, data, data, cfg)
+        assert calls and all(calls)
+        assert models_equal(net, whole)
+
     def test_stage3_rate_must_be_lower(self):
         with pytest.raises(ValueError):
             SupervisedTrainConfig(
