@@ -26,11 +26,11 @@ from fingerspell.imaging import (
     align_mask,
     apply_mask,
     bounding_box_center,
+    center_and_sample,
     deinterlace,
     equalize_histogram,
     make_mask,
     min_nonzero_depth,
-    nearest_index,
     normalize_depth,
     normalize_unit,
     remove_background,
@@ -107,28 +107,8 @@ def depth_feature_vector(stack: np.ndarray, out_size: int = 32) -> np.ndarray:
     ``out_size x out_size`` with nearest sampling (values stay binary) and
     flattened; blocks are concatenated in layer order.  For the default 6
     layers at 32x32 the result has 6144 elements in {0, 1}.
-
-    Centering and sampling are one gather over the stack: output pixel
-    ``(r, c)`` of a layer reads canvas pixel ``(iy[r], ix[c])``, which
-    holds layer pixel ``(iy[r] - oy + y0, ix[c] - ox + x0)`` inside the
-    pasted box and 0 outside it.
     """
-    n, h, w = stack.shape
-    nonzero = stack != 0
-    rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
-    y0, x0 = rows.argmax(axis=1), cols.argmax(axis=1)
-    y1, x1 = h - 1 - rows[:, ::-1].argmax(axis=1), w - 1 - cols[:, ::-1].argmax(axis=1)
-    # the offsets of bounding_box_center on a canvas of the layer's own size
-    sy = nearest_index(h, out_size) + (y0 - (h - (y1 - y0 + 1)) // 2)[:, None]
-    sx = nearest_index(w, out_size) + (x0 - (w - (x1 - x0 + 1)) // 2)[:, None]
-    in_y = (sy >= y0[:, None]) & (sy <= y1[:, None]) & rows.any(axis=1)[:, None]
-    in_x = (sx >= x0[:, None]) & (sx <= x1[:, None])
-    np.clip(sy, 0, h - 1, out=sy)
-    np.clip(sx, 0, w - 1, out=sx)
-    flat = (np.arange(n)[:, None, None] * h + sy[:, :, None]) * w + sx[:, None, :]
-    small = np.take(stack, flat)
-    small[~(in_y[:, :, None] & in_x[:, None, :])] = 0
-    return small.astype(np.float64).ravel()
+    return center_and_sample(stack, out_size).astype(np.float64).ravel()
 
 
 def intensity_feature_vector(img: np.ndarray) -> np.ndarray:

@@ -14,9 +14,9 @@ returned.  Nearest-neighbor sampling rounds half away from zero
 on the right/bottom.  Both conventions are fixed here and relied on by
 the feature extractors.
 
-Resampling gathers along one axis at a time through index tables that
-depend only on the input and output sizes; they are built once, cached
-and read-only.
+``resize`` and ``center_and_sample`` gather along one axis at a time
+through index tables that depend only on the input and output sizes;
+the tables are built once, cached and read-only.
 """
 
 from dataclasses import dataclass
@@ -93,24 +93,6 @@ def make_mask(img: np.ndarray) -> np.ndarray:
     return (img > 0).astype(np.uint8)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # cached tables are shared by every caller
-    return a
-
-
-@lru_cache(maxsize=256)
-def _aligned_index(n_in: int, n_out: int, scale: float, offset: float):
-    """Source indices of the in-bounds outputs of :func:`align_mask` along one axis, and their slice.
-
-    ``scale > 0`` makes the indices nondecreasing, so the in-bounds outputs
-    form one contiguous run.
-    """
-    idx = np.floor(np.arange(n_out) * scale + offset + 0.5).astype(np.int64)
-    ok = np.flatnonzero((idx >= 0) & (idx < n_in))
-    run = slice(int(ok[0]), int(ok[-1]) + 1) if ok.size else slice(0, 0)
-    return _read_only(idx[ok]), run
-
-
 def align_mask(mask: np.ndarray, a: MaskAlignment, target_w: int, target_h: int) -> np.ndarray:
     """Resample a mask through a scale+offset map with nearest-neighbor lookup.
 
@@ -120,10 +102,15 @@ def align_mask(mask: np.ndarray, a: MaskAlignment, target_w: int, target_h: int)
     h, w = mask.shape
     if a == MaskAlignment() and (h, w) == (target_h, target_w):
         return mask.astype(np.uint8)
-    iy, rows = _aligned_index(h, target_h, a.scale_y, a.offset_y)
-    ix, cols = _aligned_index(w, target_w, a.scale_x, a.offset_x)
+    xs = np.arange(target_w) * a.scale_x + a.offset_x
+    ys = np.arange(target_h) * a.scale_y + a.offset_y
+    ix = np.floor(xs + 0.5).astype(np.int64)
+    iy = np.floor(ys + 0.5).astype(np.int64)
+    ok_x = (ix >= 0) & (ix < w)
+    ok_y = (iy >= 0) & (iy < h)
     out = np.zeros((target_h, target_w), dtype=np.uint8)
-    out[rows, cols] = mask.take(iy, axis=0).take(ix, axis=1)
+    if ok_x.any() and ok_y.any():
+        out[np.ix_(ok_y, ok_x)] = mask[np.ix_(iy[ok_y], ix[ok_x])]
     return out
 
 
@@ -136,6 +123,26 @@ def apply_mask(img: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return img * mask.astype(img.dtype)
 
 
+def _bounds(img: np.ndarray):
+    """First and last nonzero row and column of each image in a ``(..., h, w)`` array.
+
+    Returns ``(y0, y1, x0, x1, found)``; where ``found`` is false the
+    image has no nonzero pixel and the bounds are meaningless.
+    """
+    h, w = img.shape[-2:]
+    nonzero = img != 0
+    rows, cols = nonzero.any(axis=-1), nonzero.any(axis=-2)
+    y0, x0 = rows.argmax(axis=-1), cols.argmax(axis=-1)
+    y1 = h - 1 - rows[..., ::-1].argmax(axis=-1)
+    x1 = w - 1 - cols[..., ::-1].argmax(axis=-1)
+    return y0, y1, x0, x1, rows.any(axis=-1)
+
+
+def _box_offset(target, lo, hi):
+    """Canvas position of a box spanning ``lo..hi``: odd leftover margins go right/bottom."""
+    return (target - (hi - lo + 1)) // 2
+
+
 def bounding_box_center(img: np.ndarray, target_w: int, target_h: int) -> np.ndarray:
     """Center the nonzero content on a ``target_h x target_w`` zero canvas.
 
@@ -144,27 +151,52 @@ def bounding_box_center(img: np.ndarray, target_w: int, target_h: int) -> np.nda
     extra pixel on the right/bottom.  An image with no nonzero pixel
     yields an all-zero canvas.
     """
-    nonzero = img != 0
-    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
     canvas = np.zeros((target_h, target_w), dtype=img.dtype)
-    if not rows.any():
+    y0, y1, x0, x1, found = (int(v) for v in _bounds(img))
+    if not found:
         return canvas
-    y0, y1 = np.nonzero(rows)[0][[0, -1]]
-    x0, x1 = np.nonzero(cols)[0][[0, -1]]
-    bh = int(y1 - y0 + 1)
-    bw = int(x1 - x0 + 1)
+    bh = y1 - y0 + 1
+    bw = x1 - x0 + 1
     if bh > target_h or bw > target_w:
         raise ContentLargerThanTargetError(
             f"content {bw}x{bh} exceeds target {target_w}x{target_h}"
         )
-    oy = (target_h - bh) // 2
-    ox = (target_w - bw) // 2
+    oy = _box_offset(target_h, y0, y1)
+    ox = _box_offset(target_w, x0, x1)
     canvas[oy : oy + bh, ox : ox + bw] = img[y0 : y1 + 1, x0 : x1 + 1]
     return canvas
 
 
+def center_and_sample(stack: np.ndarray, out_size: int) -> np.ndarray:
+    """Center each image of an ``(n, h, w)`` stack and nearest-resize it to ``out_size``.
+
+    Equals ``resize(bounding_box_center(img, w, h), out_size, out_size,
+    "nearest")`` for every image, done as one gather over the stack:
+    output pixel ``(r, c)`` reads canvas pixel ``(iy[r], ix[c])``, which
+    holds image pixel ``(iy[r] - oy + y0, ix[c] - ox + x0)`` inside the
+    pasted box and 0 outside it.
+    """
+    n, h, w = stack.shape
+    y0, y1, x0, x1, found = _bounds(stack)
+    sy = _nearest_index(h, out_size) + (y0 - _box_offset(h, y0, y1))[:, None]
+    sx = _nearest_index(w, out_size) + (x0 - _box_offset(w, x0, x1))[:, None]
+    in_y = (sy >= y0[:, None]) & (sy <= y1[:, None]) & found[:, None]
+    in_x = (sx >= x0[:, None]) & (sx <= x1[:, None])
+    np.clip(sy, 0, h - 1, out=sy)
+    np.clip(sx, 0, w - 1, out=sx)
+    flat = (np.arange(n)[:, None, None] * h + sy[:, :, None]) * w + sx[:, None, :]
+    small = np.take(stack, flat)
+    small[~(in_y[:, :, None] & in_x[:, None, :])] = 0
+    return small
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # cached tables are shared by every caller
+    return a
+
+
 @lru_cache(maxsize=256)
-def nearest_index(n_in: int, n_out: int) -> np.ndarray:
+def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
     """Source index ``floor((i + 0.5) * n_in / n_out)`` of each nearest-sampled output (read-only)."""
     idx = np.floor((np.arange(n_out) + 0.5) * (n_in / n_out)).astype(np.int64)
     np.clip(idx, 0, n_in - 1, out=idx)
@@ -198,7 +230,7 @@ def resize(img: np.ndarray, target_w: int, target_h: int, mode: str = "bilinear"
         return img.copy()
 
     if mode == "nearest":
-        return img.take(nearest_index(h, target_h), axis=0).take(nearest_index(w, target_w), axis=1)
+        return img.take(_nearest_index(h, target_h), axis=0).take(_nearest_index(w, target_w), axis=1)
 
     x0, x1, wx = _bilinear_index(w, target_w)
     y0, y1, wy = _bilinear_index(h, target_h)

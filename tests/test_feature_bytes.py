@@ -235,7 +235,7 @@ class TestExtractionMatchesReference:
 
 
 def test_index_tables_are_read_only():
-    from fingerspell.imaging import nearest_index
+    from fingerspell.imaging import _nearest_index
 
     with pytest.raises(ValueError):
-        nearest_index(100, 32)[0] = 5
+        _nearest_index(100, 32)[0] = 5

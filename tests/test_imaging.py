@@ -14,6 +14,7 @@ from fingerspell.imaging import (
     align_mask,
     apply_mask,
     bounding_box_center,
+    center_and_sample,
     deinterlace,
     equalize_histogram,
     make_mask,
@@ -165,6 +166,18 @@ class TestBoundingBoxCenter:
         img = np.ones((6, 6), dtype=np.uint8)
         with pytest.raises(ContentLargerThanTargetError):
             bounding_box_center(img, 4, 4)
+
+
+class TestCenterAndSample:
+    def test_equals_centering_then_nearest_resize(self):
+        rng = np.random.default_rng(3)
+        for h, w, out_size in [(12, 12, 5), (9, 14, 32), (40, 33, 8)]:
+            stack = (rng.random((4, h, w)) < 0.1).astype(np.uint8) * rng.integers(1, 9, (4, h, w), dtype=np.uint8)
+            stack[1] = 0
+            got = center_and_sample(stack, out_size)
+            want = [resize(bounding_box_center(img, w, h), out_size, out_size, "nearest") for img in stack]
+            assert got.dtype == stack.dtype and np.array_equal(got, np.stack(want))
+            assert not got[1].any()
 
 
 class TestResize:
