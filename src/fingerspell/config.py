@@ -9,7 +9,9 @@ reseeds the whole run.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 from fingerspell.dataset import SplitSpec
@@ -32,6 +34,12 @@ class PreprocessConfig:
     max_hand_depth_mm: int = DEFAULT_MAX_HAND_DEPTH_MM
     n_layers: int = 6
     alignment: MaskAlignment = field(default_factory=MaskAlignment)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.max_hand_depth_mm) and self.max_hand_depth_mm > 0):
+            raise ValueError("max_hand_depth_mm must be finite and positive")
+        if not (isinstance(self.n_layers, Integral) and self.n_layers >= 1):
+            raise ValueError("n_layers must be an integer >= 1")
 
 
 @dataclass

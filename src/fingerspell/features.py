@@ -13,10 +13,13 @@ Three baseline extractors (raw pixels, a 4x4 Gabor bank, three oriented
 bar filters) share the same preprocessed 128x128 inputs.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from fingerspell import container
 from fingerspell.errors import DimensionMismatchError
@@ -94,10 +97,15 @@ def depth_layers(depth: np.ndarray, n: int = DEFAULT_N_LAYERS, t: int = DEFAULT_
     """
     if n < 1:
         raise ValueError("layer count must be >= 1")
-    if t <= 0:
-        raise ValueError("maximum hand depth t must be positive")
-    thresholds = (np.arange(n) * (t / n) + 1.0)[:, None, None]
-    return ((depth[None, :, :] > 0) & (depth[None, :, :] <= thresholds)).astype(np.uint8)
+    if not (0 < t < math.inf):
+        raise ValueError("maximum hand depth t must be positive and finite")
+    thresholds = np.arange(n) * (t / n) + 1.0
+    if np.issubdtype(depth.dtype, np.integer):
+        # depth <= x equals depth <= floor(x) for integers; cutting in the
+        # depth dtype keeps numpy from casting the image to float64 per layer
+        top = np.iinfo(depth.dtype).max
+        thresholds = np.array([min(math.floor(x), top) for x in thresholds], dtype=depth.dtype)
+    return ((depth > 0) & (depth <= thresholds[:, None, None])).astype(np.uint8)
 
 
 def depth_feature_vector(stack: np.ndarray, out_size: int = 32) -> np.ndarray:
@@ -161,10 +169,21 @@ class FilterBankConfig:
     bar_out_size: int = 64
 
     def __post_init__(self):
+        for key in ("gabor_wavelengths", "gabor_orientations", "bar_orientations"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))  # hashable: it keys the spectrum cache
         if len(self.gabor_wavelengths) != 4 or len(self.gabor_orientations) != 4:
             raise ValueError("gabor bank uses exactly 4 scales and 4 orientations")
         if len(self.bar_orientations) != 3:
             raise ValueError("bar bank uses exactly 3 kernels")
+        if not all(math.isfinite(w) and w > 0 for w in self.gabor_wavelengths):
+            raise ValueError("gabor wavelengths must be finite and positive")
+        if not all(map(math.isfinite, self.gabor_orientations + self.bar_orientations)):
+            raise ValueError("filter orientations must be finite")
+        if not (math.isfinite(self.gabor_sigma_ratio) and self.gabor_sigma_ratio > 0):
+            raise ValueError("gabor_sigma_ratio must be finite and positive")
+        for key in ("gabor_kernel_size", "gabor_out_size", "bar_kernel_size", "bar_out_size"):
+            if not (isinstance(getattr(self, key), Integral) and getattr(self, key) >= 1):
+                raise ValueError(f"{key} must be an integer >= 1")
 
     @property
     def gabor_dim(self) -> int:
@@ -188,11 +207,7 @@ class FilterBankConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterBankConfig":
-        kwargs = dict(d)
-        for key in ("gabor_wavelengths", "gabor_orientations", "bar_orientations"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 def gabor_kernel(wavelength: float, theta: float, size: int = 31, sigma_ratio: float = 0.5) -> np.ndarray:
@@ -227,11 +242,48 @@ def bar_kernel(theta: float, size: int = 9) -> np.ndarray:
     return kernel - kernel.mean()
 
 
-def convolve_same(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """FFT convolution with replicate (edge) padding, output same size."""
-    ph, pw = kernel.shape[0] // 2, kernel.shape[1] // 2
-    padded = np.pad(img.astype(np.float64), ((ph, ph), (pw, pw)), mode="edge")
-    return fftconvolve(padded, kernel, mode="valid")
+def _bank_kernels(cfg: FilterBankConfig, bank: str) -> list:
+    if bank == "gabor":
+        return [
+            gabor_kernel(wl, th, cfg.gabor_kernel_size, cfg.gabor_sigma_ratio)
+            for wl in cfg.gabor_wavelengths
+            for th in cfg.gabor_orientations
+        ]
+    return [bar_kernel(th, cfg.bar_kernel_size) for th in cfg.bar_orientations]
+
+
+@lru_cache(maxsize=8)
+def _bank_spectra(cfg: FilterBankConfig, bank: str, fshape: tuple) -> np.ndarray:
+    """``rfftn`` of each kernel of a bank zero-padded to ``fshape``, stacked (read-only)."""
+    spectra = np.stack([rfftn(k, fshape) for k in _bank_kernels(cfg, bank)])
+    spectra.flags.writeable = False  # cached spectra are shared by every caller
+    return spectra
+
+
+def filter_responses(img: np.ndarray, cfg: FilterBankConfig, bank: str) -> np.ndarray:
+    """Edge-padded same-size convolution of ``img`` with each kernel of a bank.
+
+    ``bank`` is ``"gabor"`` (16 kernels) or ``"bar"`` (3); returns a
+    ``(kernels, h, w)`` float64 stack.  These are the operations
+    ``scipy.signal.fftconvolve(padded, kernel, mode="valid")`` performs,
+    with the padded image transformed once for the whole bank: ``rfftn``
+    at the 5-smooth length of the full linear convolution per axis, a
+    product with each cached kernel spectrum, ``irfftn``, and the centred
+    crop of the "valid" part.
+    """
+    size = cfg.gabor_kernel_size if bank == "gabor" else cfg.bar_kernel_size
+    half = size // 2  # the kernels are (2 * half + 1) square
+    padded = np.pad(img.astype(np.float64), half, mode="edge")
+    full = [n + 2 * half for n in padded.shape]
+    fshape = tuple(next_fast_len(n, real=True) for n in full)
+    spectra = _bank_spectra(cfg, bank, fshape)
+    spectrum = rfftn(padded, fshape)
+    h, w = img.shape
+    c = 2 * half  # "valid" starts a kernel side minus one into the full convolution
+    out = np.empty((len(spectra), h, w))
+    for o, kernel_spectrum in zip(out, spectra):
+        o[...] = irfftn(spectrum * kernel_spectrum, fshape)[c : c + h, c : c + w]
+    return out
 
 
 def _minmax_map(m: np.ndarray) -> np.ndarray:
@@ -243,11 +295,10 @@ def _minmax_map(m: np.ndarray) -> np.ndarray:
     return (m - lo) / span
 
 
-def _filter_response_blocks(images, kernels, out_size) -> np.ndarray:
+def _filter_response_blocks(depth, intensity, cfg: FilterBankConfig, bank: str, out_size: int) -> np.ndarray:
     blocks = []
-    for img in images:
-        for kernel in kernels:
-            response = np.abs(convolve_same(img, kernel))
+    for img in (intensity, depth):
+        for response in np.abs(filter_responses(img, cfg, bank)):
             small = resize(response, out_size, out_size, mode="bilinear")
             blocks.append(_minmax_map(small).ravel())
     return np.concatenate(blocks)
@@ -260,22 +311,12 @@ def gabor_features(depth: np.ndarray, intensity: np.ndarray, cfg: FilterBankConf
     response magnitudes are resized to ``gabor_out_size`` and min-max
     scaled per map.
     """
-    kernels = [
-        gabor_kernel(wl, th, cfg.gabor_kernel_size, cfg.gabor_sigma_ratio)
-        for wl in cfg.gabor_wavelengths
-        for th in cfg.gabor_orientations
-    ]
-    return _filter_response_blocks(
-        (intensity.astype(np.float64), depth.astype(np.float64)), kernels, cfg.gabor_out_size
-    )
+    return _filter_response_blocks(depth, intensity, cfg, "gabor", cfg.gabor_out_size)
 
 
 def bar_features(depth: np.ndarray, intensity: np.ndarray, cfg: FilterBankConfig = FilterBankConfig()) -> np.ndarray:
     """Bar-filter baseline: 2 images x 3 kernels x 64x64 maps = 24576 values."""
-    kernels = [bar_kernel(th, cfg.bar_kernel_size) for th in cfg.bar_orientations]
-    return _filter_response_blocks(
-        (intensity.astype(np.float64), depth.astype(np.float64)), kernels, cfg.bar_out_size
-    )
+    return _filter_response_blocks(depth, intensity, cfg, "bar", cfg.bar_out_size)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ through index tables that depend only on the input and output sizes;
 the tables are built once, cached and read-only.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,6 +50,8 @@ class MaskAlignment:
     offset_y: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.scale_x, self.scale_y, self.offset_x, self.offset_y))):
+            raise ValueError("alignment scales and offsets must be finite")
         if self.scale_x <= 0 or self.scale_y <= 0:
             raise ValueError("alignment scales must be positive")
 

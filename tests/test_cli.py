@@ -303,7 +303,50 @@ class TestPredict:
         assert "predicted" not in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def one_capture_per_letter(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("tiny")
+    assert main(["gen-synthetic", "--config", str(write_config(tmp_path)), "--users", "1", "--per-class", "1"]) == 0
+    return tmp_path / "data" / "manifest.csv"
+
+
+# each of these used to extract without complaint (exit 0, NaN or all-zero
+# features) or to end in a traceback (exit 1)
+REJECTED_CONFIGS = {
+    "alignment_scale_nan": {"preprocessing": {"alignment": {"scale_x": float("nan")}}},
+    "alignment_offset_inf": {"preprocessing": {"alignment": {"offset_y": float("inf")}}},
+    "max_hand_depth_zero": {"preprocessing": {"max_hand_depth_mm": 0}},
+    "max_hand_depth_nan": {"preprocessing": {"max_hand_depth_mm": float("nan")}},
+    "n_layers_zero": {"preprocessing": {"n_layers": 0}},
+    "gabor_out_size_zero": {"feature_kind": "gabor", "filter_bank": {"gabor_out_size": 0}},
+    "gabor_sigma_ratio_zero": {"feature_kind": "gabor", "filter_bank": {"gabor_sigma_ratio": 0}},
+    "gabor_wavelength_zero": {"feature_kind": "gabor", "filter_bank": {"gabor_wavelengths": [4, 0, 12, 16]}},
+    "gabor_kernel_size_zero": {"feature_kind": "gabor", "filter_bank": {"gabor_kernel_size": 0}},
+    "bar_out_size_zero": {"feature_kind": "bar", "filter_bank": {"bar_out_size": 0}},
+    "bar_kernel_size_negative": {"feature_kind": "bar", "filter_bank": {"bar_kernel_size": -3}},
+    "bar_orientation_nan": {"feature_kind": "bar", "filter_bank": {"bar_orientations": [0, float("nan"), 1]}},
+}
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("name", sorted(REJECTED_CONFIGS))
+    def test_invalid_field_exits_2_before_extracting(self, one_capture_per_letter, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, **REJECTED_CONFIGS[name])
+        raw = json.loads(cfg.read_text())
+        raw["paths"]["manifest"] = str(one_capture_per_letter)
+        cfg.write_text(json.dumps(raw))
+        assert main(["extract", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_import_leaves_out_scipy_signal(self):
+        # scipy.signal costs about 50 MB and 0.4 s of every process's start-up
+        pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        code = "import sys, fingerspell.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+                             check=True, capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
     def test_bad_config_is_usage_error(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

@@ -40,6 +40,31 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"preprocessing": {"alignment": {"scale_x": -1}}})
 
+    @pytest.mark.parametrize("preprocessing", [
+        {"max_hand_depth_mm": 0},
+        {"max_hand_depth_mm": -10},
+        {"max_hand_depth_mm": float("nan")},
+        {"max_hand_depth_mm": float("inf")},
+        {"max_hand_depth_mm": "120"},
+        {"n_layers": 0},
+        {"n_layers": 2.5},
+        {"n_layers": "6"},
+        {"alignment": {"offset_x": float("nan")}},
+        {"alignment": {"scale_y": float("inf")}},
+    ])
+    def test_invalid_preprocessing_raises_config_error(self, preprocessing):
+        with pytest.raises(ConfigError):
+            config_from_dict({"preprocessing": preprocessing})
+
+    def test_invalid_filter_bank_raises_config_error(self):
+        with pytest.raises(ConfigError):
+            config_from_dict({"filter_bank": {"gabor_out_size": 0}})
+        with pytest.raises(ConfigError):
+            config_from_dict({"filter_bank": {"bar_orientations": 3}})
+
+    def test_float_max_hand_depth_is_accepted(self):
+        assert config_from_dict({"preprocessing": {"max_hand_depth_mm": 95.5}}).preprocessing.max_hand_depth_mm == 95.5
+
     def test_per_layer_rbm_list(self):
         cfg = config_from_dict(
             {"layer_sizes": [6, 4], "rbm": [{"epochs": 1, "rng_seed": 1}, {"epochs": 2, "rng_seed": 2}]}

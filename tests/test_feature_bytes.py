@@ -1,26 +1,29 @@
-"""The table-driven resampling kernels give the same bytes as the direct forms.
+"""The table-driven resampling and filter-bank kernels give the same bytes as the direct forms.
 
 The functions below are the earlier implementations of ``resize``,
-``align_mask``, ``depth_feature_vector`` and ``extract_features``, which
-sampled with 2-D ``np.ix_`` gathers and centered each depth layer on its
-own canvas.  They are kept here as the reference the production kernels
-must match byte for byte, on synthetic captures and on random shapes.
+``align_mask``, ``depth_feature_vector``, ``convolve_same`` and
+``extract_features``, which sampled with 2-D ``np.ix_`` gathers, centered
+each depth layer on its own canvas and convolved with one
+``scipy.signal.fftconvolve`` call per (image, kernel) pair.  They are kept
+here as the reference the production kernels must match byte for byte,
+on synthetic captures and on random shapes.
 """
 
 import zlib
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from fingerspell.dataset import MAX_SIDE, MIN_SIDE, gen_synthetic
 from fingerspell.features import (
     FilterBankConfig,
     bar_kernel,
     combined_features,
-    convolve_same,
     depth_feature_vector,
     depth_layers,
     extract_features,
+    filter_responses,
     gabor_kernel,
     raw_features,
 )
@@ -100,6 +103,13 @@ def ref_preprocess_pair(depth, intensity, t, alignment, out_size=128):
     return depth, intensity
 
 
+def convolve_same(img, kernel):
+    """FFT convolution with replicate (edge) padding, output same size."""
+    ph, pw = kernel.shape[0] // 2, kernel.shape[1] // 2
+    padded = np.pad(img.astype(np.float64), ((ph, ph), (pw, pw)), mode="edge")
+    return fftconvolve(padded, kernel, mode="valid")
+
+
 def ref_filter_blocks(images, kernels, out_size):
     blocks = []
     for img in images:
@@ -112,6 +122,16 @@ def ref_filter_blocks(images, kernels, out_size):
     return np.concatenate(blocks)
 
 
+def ref_bank_kernels(fb, kind):
+    if kind == "gabor":
+        return [
+            gabor_kernel(wl, th, fb.gabor_kernel_size, fb.gabor_sigma_ratio)
+            for wl in fb.gabor_wavelengths
+            for th in fb.gabor_orientations
+        ]
+    return [bar_kernel(th, fb.bar_kernel_size) for th in fb.bar_orientations]
+
+
 def ref_extract_features(depth, intensity, kind, t=120, n_layers=6, alignment=MaskAlignment(), fb=FilterBankConfig()):
     dp, ip = ref_preprocess_pair(depth, intensity, t, alignment)
     if kind == "combined":
@@ -120,15 +140,8 @@ def ref_extract_features(depth, intensity, kind, t=120, n_layers=6, alignment=Ma
     if kind == "raw":
         return raw_features(dp, ip, t=t)
     images = (ip.astype(np.float64), dp.astype(np.float64))
-    if kind == "gabor":
-        kernels = [
-            gabor_kernel(wl, th, fb.gabor_kernel_size, fb.gabor_sigma_ratio)
-            for wl in fb.gabor_wavelengths
-            for th in fb.gabor_orientations
-        ]
-        return ref_filter_blocks(images, kernels, fb.gabor_out_size)
-    kernels = [bar_kernel(th, fb.bar_kernel_size) for th in fb.bar_orientations]
-    return ref_filter_blocks(images, kernels, fb.bar_out_size)
+    out_size = fb.gabor_out_size if kind == "gabor" else fb.bar_out_size
+    return ref_filter_blocks(images, ref_bank_kernels(fb, kind), out_size)
 
 
 def same_bytes(a, b):
@@ -232,6 +245,59 @@ class TestExtractionMatchesReference:
             a = random_alignment(rng)
             new = extract_features(depth, intensity, kind, alignment=a)
             assert same_bytes(new, ref_extract_features(depth, intensity, kind, alignment=a))
+
+
+# even sizes build odd kernels one wider; a 1x1 kernel is left out, because
+# fftconvolve multiplies by it directly instead of transforming
+FILTER_BANKS = [
+    FilterBankConfig(),
+    FilterBankConfig(gabor_kernel_size=8, gabor_out_size=13, bar_kernel_size=4, bar_out_size=50),
+    FilterBankConfig(
+        gabor_wavelengths=(2.5, 6.0, 9.0, 30.0),
+        gabor_orientations=(0.3, 1.0, 2.0, 3.0),
+        gabor_kernel_size=17,
+        gabor_sigma_ratio=0.8,
+        gabor_out_size=40,
+        bar_orientations=(0.2, 1.1, 2.5),
+        bar_kernel_size=15,
+        bar_out_size=16,
+    ),
+    FilterBankConfig(gabor_kernel_size=2, gabor_out_size=128, bar_kernel_size=64, bar_out_size=7),
+]
+
+
+class TestFilterBanksMatchReference:
+    @pytest.mark.parametrize("kind", ["gabor", "bar"])
+    @pytest.mark.parametrize("fb", FILTER_BANKS, ids=range(len(FILTER_BANKS)))
+    def test_random_128x128_images(self, fb, kind):
+        rng = np.random.default_rng(29)
+        for img in (rng.integers(0, 256, (128, 128)).astype(np.uint8), rng.integers(0, 121, (128, 128)).astype(np.int32)):
+            new = filter_responses(img, fb, kind)
+            ref = np.stack([convolve_same(img, k) for k in ref_bank_kernels(fb, kind)])
+            assert same_bytes(new, ref)
+
+    @pytest.mark.parametrize("fb", FILTER_BANKS[1:], ids=range(1, len(FILTER_BANKS)))
+    def test_non_default_banks_on_synthetic_captures(self, synthetic, fb):
+        for s in synthetic[3::8]:
+            for kind in ("gabor", "bar"):
+                new = extract_features(s.depth, s.intensity, kind, filter_bank=fb)
+                assert same_bytes(new, ref_extract_features(s.depth, s.intensity, kind, fb=fb))
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            img = rng.random((int(rng.integers(1, 80)), int(rng.integers(1, 80))))
+            fb = FILTER_BANKS[int(rng.integers(len(FILTER_BANKS)))]
+            kind = "gabor" if rng.random() < 0.5 else "bar"
+            new = filter_responses(img, fb, kind)
+            assert same_bytes(new, np.stack([convolve_same(img, k) for k in ref_bank_kernels(fb, kind)]))
+
+    def test_kernel_spectra_are_read_only(self):
+        from fingerspell.features import _bank_spectra
+
+        filter_responses(np.zeros((128, 128)), FilterBankConfig(), "bar")
+        with pytest.raises(ValueError):
+            _bank_spectra(FilterBankConfig(), "bar", (144, 144))[0, 0, 0] = 1.0
 
 
 def test_index_tables_are_read_only():

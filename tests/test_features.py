@@ -11,11 +11,11 @@ from fingerspell.features import (
     bar_features,
     bar_kernel,
     combined_features,
-    convolve_same,
     depth_feature_vector,
     depth_layers,
     extract_features,
     feature_dim,
+    filter_responses,
     gabor_features,
     gabor_kernel,
     intensity_feature_vector,
@@ -70,6 +70,27 @@ class TestDepthLayers:
             n = int(rng.integers(1, 8))
             t = int(rng.integers(30, 200))
             assert np.array_equal(depth_layers(img, n, t), brute_force_layers(img, n, t))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64])
+    def test_integer_depth_matches_float_comparison(self, dtype):
+        # 64-bit values stay below 2**53, where the float form is exact
+        info = np.iinfo(dtype)
+        hi = min(int(info.max), 2 ** 53)
+        rng = np.random.default_rng(np.dtype(dtype).itemsize)
+        img = rng.integers(max(int(info.min), -(2 ** 53)), hi, (12, 12), endpoint=True).astype(dtype)
+        img[0, :4] = (0, 1, hi - 1, hi)
+        img[1:11] = np.arange(120).reshape(10, 12)  # every value next to a small threshold
+        ts = [1, 7, 120, 119.5, 250, 1e4, 7e4, 5e9, 2.0 ** 40, 2.0 ** 53 - 5, 1e30, 5e-324]
+        for t in ts:
+            for n in (1, 6, 11):
+                thresholds = (np.arange(n) * (t / n) + 1.0)[:, None, None]
+                expect = ((img > 0) & (img.astype(np.float64) <= thresholds)).astype(np.uint8)
+                assert np.array_equal(depth_layers(img, n, t), expect), (t, n)
+
+    @pytest.mark.parametrize("t", [0, -5, float("nan"), float("inf")])
+    def test_bad_max_depth_raises(self, t):
+        with pytest.raises(ValueError):
+            depth_layers(np.ones((3, 3), np.int32), 6, t)
 
     def test_nesting_property(self):
         rng = np.random.default_rng(11)
@@ -206,17 +227,16 @@ class TestFilterBanks:
         wavelength = 8.0
         stripes = (127.5 + 127.5 * np.cos(2 * np.pi * np.arange(28) / wavelength))[None, :]
         img = np.repeat(stripes, 28, axis=0)
-        energies = []
-        for theta in cfg.gabor_orientations:
-            k = gabor_kernel(wavelength, theta, cfg.gabor_kernel_size, cfg.gabor_sigma_ratio)
-            energies.append(np.abs(convolve_same(img, k)).mean())
+        # kernels run wavelength-major: the second four are the 8 px ones
+        assert cfg.gabor_wavelengths[1] == wavelength
+        energies = np.abs(filter_responses(img, cfg, "gabor")[4:8]).mean(axis=(1, 2))
         assert int(np.argmax(energies)) == 0
 
     def test_convolve_matches_direct_loop_oracle(self):
         rng = np.random.default_rng(18)
         img = rng.random((12, 12))
         kernel = gabor_kernel(4.0, 0.0, size=5)
-        out = convolve_same(img, kernel)
+        out = filter_responses(img, FilterBankConfig(gabor_kernel_size=5), "gabor")[0]
         padded = np.pad(img, 2, mode="edge")
         for y in range(12):
             for x in range(12):
@@ -244,7 +264,7 @@ class TestFilterBanks:
     def test_horizontal_bar_kernel_prefers_horizontal_bar(self):
         img = np.zeros((40, 40))
         img[19:22, 5:35] = 1.0   # horizontal bar
-        responses = [np.abs(convolve_same(img, bar_kernel(th))).max() for th in (0.0, np.pi / 4, np.pi / 2)]
+        responses = np.abs(filter_responses(img, FilterBankConfig(), "bar")).max(axis=(1, 2))
         assert int(np.argmax(responses)) == 0
 
     def test_bank_shape_validation(self):
@@ -252,6 +272,30 @@ class TestFilterBanks:
             FilterBankConfig(gabor_wavelengths=(4.0, 8.0))
         with pytest.raises(ValueError):
             FilterBankConfig(bar_orientations=(0.0,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("gabor_wavelengths", (4.0, 0.0, 12.0, 16.0)),
+        ("gabor_wavelengths", (4.0, 8.0, float("inf"), 16.0)),
+        ("gabor_wavelengths", (4.0, 8.0, 12.0, float("nan"))),
+        ("gabor_orientations", (0.0, float("nan"), 1.0, 2.0)),
+        ("bar_orientations", (0.0, 1.0, float("-inf"))),
+        ("gabor_sigma_ratio", 0.0),
+        ("gabor_sigma_ratio", float("nan")),
+        ("gabor_kernel_size", 0),
+        ("gabor_kernel_size", 7.5),
+        ("bar_kernel_size", -3),
+        ("gabor_out_size", 0),
+        ("bar_out_size", 0),
+        ("bar_out_size", 4.0),
+    ])
+    def test_bank_field_validation(self, field, value):
+        with pytest.raises(ValueError):
+            FilterBankConfig(**{field: value})
+
+    def test_bank_sequences_become_tuples(self):
+        cfg = FilterBankConfig(gabor_wavelengths=[4.0, 8.0, 12.0, 16.0])
+        assert cfg.gabor_wavelengths == (4.0, 8.0, 12.0, 16.0)
+        assert hash(cfg) == hash(FilterBankConfig())
 
 
 @pytest.fixture(scope="module")

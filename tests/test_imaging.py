@@ -117,6 +117,12 @@ class TestAlignMask:
         with pytest.raises(ValueError):
             MaskAlignment(scale_x=0.0)
 
+    @pytest.mark.parametrize("field", ["scale_x", "scale_y", "offset_x", "offset_y"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_scales_and_offsets_must_be_finite(self, field, value):
+        with pytest.raises(ValueError):
+            MaskAlignment(**{field: value})
+
 
 class TestApplyMask:
     def test_all_ones_identity(self):
