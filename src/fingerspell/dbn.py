@@ -10,7 +10,10 @@ learning rate.  Hidden activations use the same sigmoid as the RBM
 conditionals in every stage.
 """
 
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -42,6 +45,18 @@ class StageConfig:
     input_noise_sigma: float = 0.0
     early_stopping_patience: int = 10
 
+    def __post_init__(self):
+        # written so that NaN fails every check
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        for key in ("epochs", "batch_size", "early_stopping_patience"):
+            if not (isinstance(getattr(self, key), Integral) and getattr(self, key) >= 1):
+                raise ValueError(f"{key} must be an integer >= 1")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must lie in [0, 1)")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.l2_coeff, self.input_noise_sigma)):
+            raise ValueError("l2_coeff and input_noise_sigma must be finite and >= 0")
+
 
 @dataclass
 class SupervisedTrainConfig:
@@ -51,7 +66,7 @@ class SupervisedTrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.stage3.learning_rate >= self.stage2.learning_rate:
+        if not self.stage3.learning_rate < self.stage2.learning_rate:
             raise ValueError("fine-tuning must use a lower learning rate than stage 2")
 
 
@@ -248,6 +263,26 @@ def _validate_labeled(data, dbn):
     return x, y
 
 
+def _draws(n, s: StageConfig, rng, noise):
+    """Every draw the stage makes from ``rng``, batch by batch, as ``(row indices, noise)``.
+
+    One permutation of the ``n`` training rows per epoch, then each
+    batch's standard normal noise (``None`` when the stage adds none), the
+    shorter last batch included: the order of a sequential loop.  Batch
+    ``k``'s noise is drawn into ``noise[k % 2]``, so it stays valid until
+    batch ``k + 2`` is drawn.  Only ``rng`` is called, so a helper thread
+    can run this.
+    """
+    k = 0
+    for _ in range(s.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, s.batch_size):
+            idx = order[start : start + s.batch_size]
+            z = None if noise is None else rng.standard_normal(out=noise[k % 2, : len(idx)])
+            k += 1
+            yield idx, z
+
+
 def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) -> None:
     """Fit every parameter of ``net`` by backprop on the output of the ``frozen`` RBM layers.
 
@@ -259,52 +294,59 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
     ``early_stopping_patience`` epochs without improvement the loop stops,
     and the best-validation parameters are restored in place.
     ``on_epoch(epoch, train_loss, valid_loss)``.
+
+    One helper thread makes the next batch's draws (:func:`_draws`) while
+    this thread trains on the current batch; the draws, not the
+    arithmetic, are the long part.  Only the helper draws from ``rng``, in
+    the order a sequential loop would, so the parameters do not depend on
+    the timing.  The helper is joined before the stage returns or raises.
     """
     (xt, yt), (xv, yv) = train, valid
-    top_v = _top_activations(frozen, xv)  # frozen layers give the same activations every epoch
     params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
     decay = [s.l2_coeff, None] * (len(params) // 2)
     velocity = [np.zeros_like(p) for p in params]
     w_grads = [np.empty_like(r.weights) for r in net.rbm_layers]
     scratch = StepScratch()
-    noise = np.empty((min(s.batch_size, xt.shape[0]), xt.shape[1])) if s.input_noise_sigma > 0 else None
+    noise = np.empty((2, min(s.batch_size, xt.shape[0]), xt.shape[1])) if s.input_noise_sigma > 0 else None
+    draws = _draws(xt.shape[0], s, rng, noise)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(next, draws, None)
+        top_v = _top_activations(frozen, xv)  # frozen layers give the same activations every epoch
+        best_loss = cross_entropy_loss(net, top_v, yv)
+        best = [p.copy() for p in params]
+        since_best = 0
+        for epoch in range(s.epochs):
+            losses = []
+            for _ in range(0, xt.shape[0], s.batch_size):
+                idx, z = ahead.result()
+                ahead = helper.submit(next, draws, None)
+                xb = xt[idx]
+                if z is not None:
+                    z *= s.input_noise_sigma
+                    xb += z
+                    np.clip(xb, 0.0, 1.0, out=xb)
+                rw, rb, gw, gb, loss = backprop_gradients(net, _top_activations(frozen, xb), yt[idx], w_out=w_grads)
+                losses.append(loss)
+                grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
+                for p, v, g, l2 in zip(params, velocity, grads, decay):
+                    param_step(p, v, g, s.momentum, -s.learning_rate, l2=l2, scratch=scratch)
+                for rbm in net.rbm_layers:
+                    rbm.check_finite()
 
-    best_loss = cross_entropy_loss(net, top_v, yv)
-    best = [p.copy() for p in params]
-    since_best = 0
-    for epoch in range(s.epochs):
-        order = rng.permutation(xt.shape[0])
-        losses = []
-        for start in range(0, xt.shape[0], s.batch_size):
-            idx = order[start : start + s.batch_size]
-            xb = xt[idx]
-            if s.input_noise_sigma > 0:
-                z = rng.standard_normal(out=noise[: len(idx)])
-                z *= s.input_noise_sigma
-                xb += z
-                np.clip(xb, 0.0, 1.0, out=xb)
-            rw, rb, gw, gb, loss = backprop_gradients(net, _top_activations(frozen, xb), yt[idx], w_out=w_grads)
-            losses.append(loss)
-            grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
-            for p, v, g, l2 in zip(params, velocity, grads, decay):
-                param_step(p, v, g, s.momentum, -s.learning_rate, l2=l2, scratch=scratch)
-            for rbm in net.rbm_layers:
-                rbm.check_finite()
-
-        if not np.all(np.isfinite(net.translation_w)):
-            raise NumericError("non-finite translation weights")
-        val_loss = cross_entropy_loss(net, top_v, yv)
-        if on_epoch is not None:
-            on_epoch(epoch, float(np.mean(losses)), val_loss)
-        if val_loss < best_loss:
-            best_loss = val_loss
-            for b, p in zip(best, params):
-                np.copyto(b, p)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= s.early_stopping_patience:
-                break
+            if not np.all(np.isfinite(net.translation_w)):
+                raise NumericError("non-finite translation weights")
+            val_loss = cross_entropy_loss(net, top_v, yv)
+            if on_epoch is not None:
+                on_epoch(epoch, float(np.mean(losses)), val_loss)
+            if val_loss < best_loss:
+                best_loss = val_loss
+                for b, p in zip(best, params):
+                    np.copyto(b, p)
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= s.early_stopping_patience:
+                    break
     for p, b in zip(params, best):
         np.copyto(p, b)
 

@@ -9,7 +9,9 @@ decay is applied to the weights only, never to the biases.
 time, for CD-1 and for the supervised stages alike.
 """
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -32,14 +34,17 @@ class RbmTrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not (isinstance(self.batch_size, Integral) and self.batch_size >= 1):
+            raise ValueError("batch_size must be an integer >= 1")
         if not (0 <= self.momentum < 1 and 0 <= self.initial_momentum < 1):
             raise ValueError("momentum must lie in [0, 1)")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        if not (isinstance(self.epochs, Integral) and self.epochs >= 0):
+            raise ValueError("epochs must be an integer >= 0")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.l1_coeff, self.l2_coeff)):
+            raise ValueError("l1_coeff and l2_coeff must be finite and >= 0")
 
 
 BLOCK_ROWS = 256  # rows per block of param_step; 64 to 512 time the same

@@ -311,7 +311,8 @@ def one_capture_per_letter(tmp_path_factory):
 
 
 # each of these used to extract without complaint (exit 0, NaN or all-zero
-# features) or to end in a traceback (exit 1)
+# features, or training settings that give a NaN model or a traceback) or to
+# end in a traceback (exit 1)
 REJECTED_CONFIGS = {
     "alignment_scale_nan": {"preprocessing": {"alignment": {"scale_x": float("nan")}}},
     "alignment_offset_inf": {"preprocessing": {"alignment": {"offset_y": float("inf")}}},
@@ -325,6 +326,15 @@ REJECTED_CONFIGS = {
     "bar_out_size_zero": {"feature_kind": "bar", "filter_bank": {"bar_out_size": 0}},
     "bar_kernel_size_negative": {"feature_kind": "bar", "filter_bank": {"bar_kernel_size": -3}},
     "bar_orientation_nan": {"feature_kind": "bar", "filter_bank": {"bar_orientations": [0, float("nan"), 1]}},
+    "rbm_learning_rate_nan": {"rbm": {"epochs": 2, "learning_rate": float("nan")}},
+    "rbm_l2_coeff_nan": {"rbm": {"epochs": 2, "l2_coeff": float("nan")}},
+    "stage2_learning_rate_nan": {"supervised": {"stage2": {"learning_rate": float("nan")}}},
+    "stage3_learning_rate_nan": {"supervised": {"stage3": {"learning_rate": float("nan")}}},
+    "stage2_batch_size_zero": {"supervised": {"stage2": {"batch_size": 0}}},
+    "stage3_epochs_zero": {"supervised": {"stage3": {"epochs": 0, "learning_rate": 0.01}}},
+    "stage2_noise_sigma_nan": {"supervised": {"stage2": {"input_noise_sigma": float("nan")}}},
+    "stage2_patience_zero": {"supervised": {"stage2": {"early_stopping_patience": 0}}},
+    "stage2_momentum_above_one": {"supervised": {"stage2": {"momentum": 1.5}}},
 }
 
 
@@ -338,6 +348,18 @@ class TestConfigHandling:
         assert main(["extract", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_zero_batch_size_train_exits_2(self, workspace, tmp_path, capsys):
+        # this used to end train in a range() traceback (exit 1)
+        _, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        raw["supervised"]["stage2"]["batch_size"] = 0
+        raw["paths"]["model"] = str(tmp_path / "model.hsdbn")
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "model.hsdbn").exists()
 
     def test_cli_import_leaves_out_scipy_signal(self):
         # scipy.signal costs about 50 MB and 0.4 s of every process's start-up

@@ -62,6 +62,35 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"filter_bank": {"bar_orientations": 3}})
 
+    @pytest.mark.parametrize("raw", [
+        {"rbm": {"learning_rate": float("nan")}},
+        {"rbm": {"l2_coeff": float("nan")}},
+        {"rbm": {"l1_coeff": -1e-5}},
+        {"rbm": {"epochs": -1}},
+        {"rbm": {"epochs": float("nan")}},
+        {"rbm": {"batch_size": 2.5}},
+        {"supervised": {"stage2": {"learning_rate": float("nan")}}},
+        {"supervised": {"stage3": {"learning_rate": float("nan")}}},
+        {"supervised": {"stage2": {"learning_rate": float("inf")}}},
+        {"supervised": {"stage2": {"batch_size": 0}}},
+        {"supervised": {"stage2": {"batch_size": 36.0}}},
+        {"supervised": {"stage2": {"epochs": 0}}},
+        {"supervised": {"stage3": {"epochs": 0}}},
+        {"supervised": {"stage2": {"early_stopping_patience": 0}}},
+        {"supervised": {"stage2": {"input_noise_sigma": float("nan")}}},
+        {"supervised": {"stage2": {"input_noise_sigma": -0.1}}},
+        {"supervised": {"stage3": {"l2_coeff": float("nan")}}},
+        {"supervised": {"stage2": {"momentum": 1.5}}},
+        {"supervised": {"stage3": {"momentum": float("nan")}}},
+    ])
+    def test_invalid_training_field_raises_config_error(self, raw):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+    def test_pretraining_may_be_skipped(self):
+        # zero RBM epochs keep the initial weights: a valid untrained stack
+        assert all(c.epochs == 0 for c in config_from_dict({"rbm": {"epochs": 0}}).rbm_configs())
+
     def test_float_max_hand_depth_is_accepted(self):
         assert config_from_dict({"preprocessing": {"max_hand_depth_mm": 95.5}}).preprocessing.max_hand_depth_mm == 95.5
 
