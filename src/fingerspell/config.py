@@ -87,7 +87,9 @@ def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from a (possibly partial) JSON dict."""
     try:
         data = dict(data)
-        seed = int(data.get("rng_seed", 1234))
+        seed = data.get("rng_seed", 1234)
+        if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
+            raise ValueError("rng_seed must be an integer >= 0")
 
         paths = PathsConfig(**data.get("paths", {}))
 

@@ -13,6 +13,7 @@ remaining samples (stratified) for validation.
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.mode not in ("allseen", "unseen"):
             raise ValueError(f"unknown split mode {self.mode!r}")
+        if not (isinstance(self.rng_seed, Integral) and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be an integer >= 0")
 
 
 def check_pair(depth: np.ndarray, intensity: np.ndarray, where: str) -> None:

@@ -68,6 +68,8 @@ class SupervisedTrainConfig:
     def __post_init__(self):
         if not self.stage3.learning_rate < self.stage2.learning_rate:
             raise ValueError("fine-tuning must use a lower learning rate than stage 2")
+        if not (isinstance(self.rng_seed, Integral) and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be an integer >= 0")
 
 
 @dataclass

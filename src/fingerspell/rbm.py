@@ -10,6 +10,7 @@ time, for CD-1 and for the supervised stages alike.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -37,14 +38,15 @@ class RbmTrainConfig:
         # written so that NaN fails every check
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
-        if not (isinstance(self.batch_size, Integral) and self.batch_size >= 1):
-            raise ValueError("batch_size must be an integer >= 1")
         if not (0 <= self.momentum < 1 and 0 <= self.initial_momentum < 1):
             raise ValueError("momentum must lie in [0, 1)")
-        if not (isinstance(self.epochs, Integral) and self.epochs >= 0):
-            raise ValueError("epochs must be an integer >= 0")
-        if not all(math.isfinite(c) and c >= 0 for c in (self.l1_coeff, self.l2_coeff)):
-            raise ValueError("l1_coeff and l2_coeff must be finite and >= 0")
+        for key, least in (("batch_size", 1), ("epochs", 0), ("momentum_switch_epoch", 0), ("convergence_window", 1)):
+            if not (isinstance(getattr(self, key), Integral) and getattr(self, key) >= least):
+                raise ValueError(f"{key} must be an integer >= {least}")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.l1_coeff, self.l2_coeff, self.convergence_tol)):
+            raise ValueError("l1_coeff, l2_coeff and convergence_tol must be finite and >= 0")
+        if not (isinstance(self.rng_seed, Integral) and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be an integer >= 0")
 
 
 BLOCK_ROWS = 256  # rows per block of param_step; 64 to 512 time the same
@@ -108,7 +110,7 @@ class CdState:
 
     @classmethod
     def zeros(cls, rbm: "Rbm") -> "CdState":
-        return cls(*(np.zeros_like(a) for a in (rbm.weights, rbm.visible_bias, rbm.hidden_bias)))
+        return cls(*(np.zeros_like(a) for a in rbm.params))
 
 
 def sample_bernoulli(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -147,11 +149,16 @@ class Rbm:
             raise DimensionMismatchError(f"hidden vector length {h.shape[-1]} != {self.n_hidden}")
         return sigmoid(h @ self.weights.T + self.visible_bias)
 
+    @property
+    def params(self) -> tuple:
+        return self.weights, self.visible_bias, self.hidden_bias
+
     def reconstruction_error(self, data: np.ndarray) -> float:
         """Mean squared error between data and its one-pass reconstruction."""
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        v1 = self.visible_probabilities(self.hidden_probabilities(data))
-        return float(np.mean((data - v1) ** 2))
+        if data.shape[-1] != self.n_visible:
+            raise DimensionMismatchError(f"visible vector length {data.shape[-1]} != {self.n_visible}")
+        return _reconstruction_error(*self.params, data, np.empty((data.shape[0], self.n_hidden)), np.empty(data.shape))
 
     def cd1_update(
         self,
@@ -189,7 +196,7 @@ class Rbm:
         param_step(self.hidden_bias, state.d_hidden_bias, (h0 - h1).mean(axis=0), mom, lr, scratch=sc)
 
     def check_finite(self) -> None:
-        if not all(np.isfinite(a).all() for a in (self.weights, self.visible_bias, self.hidden_bias)):
+        if not all(np.isfinite(a).all() for a in self.params):
             raise NumericError("non-finite RBM parameter after update")
 
     def copy(self) -> "Rbm":
@@ -202,6 +209,25 @@ class Rbm:
         )
 
 
+def _reconstruction_error(w, vb, hb, data, h, v) -> float:
+    """``np.mean((data - v1) ** 2)`` for the one-pass reconstruction ``v1``, bit for bit.
+
+    ``v1`` is ``sigmoid(sigmoid(data @ w + hb) @ w.T + vb)``.  The passes
+    run in place in the C-ordered buffers ``h`` (n, n_hidden) and ``v``
+    (n, n_visible), so nothing of their size is allocated here: a helper
+    thread runs this on buffers its caller owns.
+    """
+    np.matmul(data, w, out=h)
+    h += hb
+    sigmoid(h, out=h)
+    np.matmul(h, w.T, out=v)
+    v += vb
+    sigmoid(v, out=v)
+    np.subtract(data, v, out=v)
+    np.square(v, out=v)
+    return float(np.mean(v))
+
+
 def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int | None = None, on_epoch=None) -> Rbm:
     """Train an RBM with CD-1 mini-batches for ``cfg.epochs`` or until convergence.
 
@@ -210,6 +236,14 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int | None = None
     below ``cfg.convergence_tol`` for ``cfg.convergence_window``
     consecutive epochs.  ``on_epoch(epoch, recon_error)`` is called after
     every epoch.  Deterministic for a fixed seed, data and config.
+
+    Each epoch's full-data reconstruction error is computed on one helper
+    thread, from a snapshot of that epoch's parameters, while this thread
+    trains the next epoch.  The error is then reported and the stopping
+    rule applied; a stop returns the snapshot and discards the epoch
+    trained meanwhile.  The generator is private to the call, so the
+    parameters and the ``on_epoch`` calls are those of a sequential loop.
+    The helper is joined before the call returns or raises.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
@@ -219,24 +253,46 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int | None = None
 
     rng = np.random.default_rng(cfg.rng_seed)
     rbm = Rbm(data.shape[1], n_hidden, rng=rng)
+    if cfg.epochs == 0:
+        return rbm
     state = CdState.zeros(rbm)
+    snapshot = rbm.copy()
+    h, v = np.empty((data.shape[0], n_hidden)), np.empty(data.shape)
 
     prev_err = None
     stall = 0
-    for epoch in range(cfg.epochs):
-        mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
-        order = rng.permutation(data.shape[0])
-        for start in range(0, data.shape[0], cfg.batch_size):
-            rbm.cd1_update(data[order[start : start + cfg.batch_size]], cfg, state, rng, momentum=mom)
-        rbm.check_finite()
 
-        err = rbm.reconstruction_error(data)
+    def stops(epoch, err) -> bool:
+        """Report ``epoch``'s error; true when the convergence rule ends training there."""
+        nonlocal prev_err, stall
         if on_epoch is not None:
             on_epoch(epoch, err)
         if prev_err is not None:
             improvement = (prev_err - err) / prev_err if prev_err > 0 else 0.0
             stall = stall + 1 if improvement < cfg.convergence_tol else 0
             if stall >= cfg.convergence_window:
-                break
+                return True
         prev_err = err
+        return False
+
+    pending = None  # the previous epoch's error, being computed on the helper
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for epoch in range(cfg.epochs):
+            mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
+            try:
+                order = rng.permutation(data.shape[0])
+                for start in range(0, data.shape[0], cfg.batch_size):
+                    rbm.cd1_update(data[order[start : start + cfg.batch_size]], cfg, state, rng, momentum=mom)
+                rbm.check_finite()
+            except Exception:
+                # a sequential loop would have settled the previous epoch first
+                if pending is not None and stops(epoch - 1, pending.result()):
+                    return snapshot
+                raise
+            if pending is not None and stops(epoch - 1, pending.result()):
+                return snapshot
+            for dst, src in zip(snapshot.params, rbm.params):
+                np.copyto(dst, src)
+            pending = helper.submit(_reconstruction_error, *snapshot.params, data, h, v)
+        stops(cfg.epochs - 1, pending.result())
     return rbm

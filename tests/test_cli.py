@@ -335,6 +335,13 @@ REJECTED_CONFIGS = {
     "stage2_noise_sigma_nan": {"supervised": {"stage2": {"input_noise_sigma": float("nan")}}},
     "stage2_patience_zero": {"supervised": {"stage2": {"early_stopping_patience": 0}}},
     "stage2_momentum_above_one": {"supervised": {"stage2": {"momentum": 1.5}}},
+    "rbm_convergence_window_zero": {"rbm": {"epochs": 2, "convergence_window": 0}},
+    "rbm_convergence_tol_nan": {"rbm": {"epochs": 2, "convergence_tol": float("nan")}},
+    "rbm_momentum_switch_negative": {"rbm": {"epochs": 2, "momentum_switch_epoch": -3}},
+    "rbm_seed_fraction": {"rbm": {"epochs": 2, "rng_seed": 1.5}},
+    "supervised_seed_fraction": {"supervised": {"rng_seed": 2.5}},
+    "split_seed_fraction": {"split": {"mode": "allseen", "rng_seed": 2.5}},
+    "seed_fraction": {"rng_seed": 1.5},
 }
 
 
@@ -354,6 +361,18 @@ class TestConfigHandling:
         _, cfg = workspace
         raw = json.loads(cfg.read_text())
         raw["supervised"]["stage2"]["batch_size"] = 0
+        raw["paths"]["model"] = str(tmp_path / "model.hsdbn")
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "model.hsdbn").exists()
+
+    def test_fractional_rbm_seed_train_exits_2(self, workspace, tmp_path, capsys):
+        # this used to end train in a numpy TypeError traceback (exit 1)
+        _, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        raw["rbm"]["rng_seed"] = 1.5
         raw["paths"]["model"] = str(tmp_path / "model.hsdbn")
         p = tmp_path / "run.json"
         p.write_text(json.dumps(raw))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fingerspell.config import RunConfig, config_from_dict, config_to_dict, load_config, save_config
@@ -82,10 +83,33 @@ class TestRunConfig:
         {"supervised": {"stage3": {"l2_coeff": float("nan")}}},
         {"supervised": {"stage2": {"momentum": 1.5}}},
         {"supervised": {"stage3": {"momentum": float("nan")}}},
+        {"rbm": {"convergence_window": 0}},
+        {"rbm": {"convergence_window": 2.5}},
+        {"rbm": {"convergence_tol": float("nan")}},
+        {"rbm": {"convergence_tol": float("inf")}},
+        {"rbm": {"convergence_tol": -1e-4}},
+        {"rbm": {"momentum_switch_epoch": -3}},
+        {"rbm": {"momentum_switch_epoch": float("nan")}},
+        {"rbm": {"rng_seed": 1.5}},
+        {"rbm": {"rng_seed": True}},
+        {"rbm": {"rng_seed": -1}},
+        {"layer_sizes": [6, 4], "rbm": [{"rng_seed": 1}, {"rng_seed": 2.0}]},
+        {"supervised": {"rng_seed": 2.5}},
+        {"supervised": {"rng_seed": -1}},
+        {"split": {"rng_seed": 2.5}},
+        {"split": {"rng_seed": False}},
+        {"rng_seed": 1.5},
+        {"rng_seed": True},
+        {"rng_seed": "7"},
+        {"rng_seed": -40},
     ])
     def test_invalid_training_field_raises_config_error(self, raw):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+    def test_large_and_numpy_integer_seeds_are_accepted(self):
+        cfg = config_from_dict({"rng_seed": 2**40, "rbm": {"rng_seed": np.int64(3)}, "split": {"rng_seed": 0}})
+        assert cfg.rng_seed == 2**40 and cfg.rbm_configs()[0].rng_seed == 3 and cfg.split.rng_seed == 0
 
     def test_pretraining_may_be_skipped(self):
         # zero RBM epochs keep the initial weights: a valid untrained stack
