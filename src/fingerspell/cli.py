@@ -28,7 +28,7 @@ import numpy as np
 from fingerspell import dataset as ds
 from fingerspell import dbn as dbn_mod
 from fingerspell import metrics
-from fingerspell.config import RunConfig, config_from_dict, config_to_dict
+from fingerspell.config import RunConfig, config_from_dict, read_config_file, save_config
 from fingerspell.errors import ConfigError, FingerspellError, MissingFileError, NumericError
 from fingerspell.features import extract_features, feature_dim, read_features, write_features
 from fingerspell.pgm import read_pgm
@@ -52,38 +52,20 @@ class FeatureRow:
 # shared plumbing
 
 def _load_config_with_overrides(args) -> RunConfig:
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    else:
-        raw = {}
-    if getattr(args, "seed", None) is not None:
-        raw["rng_seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        raw["workers"] = args.workers
-    if getattr(args, "feature_kind", None) is not None:
-        raw["feature_kind"] = args.feature_kind
-    split = dict(raw.get("split", {}))
-    if getattr(args, "split", None) is not None:
-        split["mode"] = args.split
-    if getattr(args, "test_user", None) is not None:
-        split["test_user"] = args.test_user
-    if split:
-        raw["split"] = split
+    raw = {} if args.config is None else read_config_file(args.config)
+    for key, value in (("rng_seed", args.seed), ("workers", args.workers), ("feature_kind", args.feature_kind)):
+        if value is not None:
+            raw[key] = value
+    split = {key: value for key, value in (("mode", args.split), ("test_user", args.test_user)) if value is not None}
+    if split and isinstance(raw.get("split", {}), dict):  # any other value is refused by config_from_dict
+        raw["split"] = {**raw.get("split", {}), **split}
     return config_from_dict(raw)
 
 
 def _echo_config(cfg: RunConfig) -> None:
     out = Path(cfg.paths.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.effective.json", "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
+    save_config(cfg, out / "config.effective.json")
 
 
 def _feature_paths(cfg: RunConfig) -> tuple[Path, Path]:

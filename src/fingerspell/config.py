@@ -10,16 +10,19 @@ reseeds the whole run.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from numbers import Integral
-from pathlib import Path
 
 from fingerspell.dataset import SplitSpec
-from fingerspell.dbn import DEFAULT_LAYER_SIZES, StageConfig, SupervisedTrainConfig
+from fingerspell.dbn import DEFAULT_LAYER_SIZES, SupervisedTrainConfig
 from fingerspell.errors import ConfigError
 from fingerspell.features import FEATURE_KINDS, FilterBankConfig
 from fingerspell.imaging import DEFAULT_MAX_HAND_DEPTH_MM, MaskAlignment
 from fingerspell.rbm import RbmTrainConfig
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass
@@ -27,6 +30,10 @@ class PathsConfig:
     manifest: str = "data/manifest.csv"
     output_dir: str = "out"
     model: str = "out/model.hsdbn"
+
+    def __post_init__(self):
+        if not all(isinstance(p, str) and "\0" not in p for p in (self.manifest, self.output_dir, self.model)):
+            raise ValueError("paths must be strings without NUL characters")
 
 
 @dataclass
@@ -38,7 +45,7 @@ class PreprocessConfig:
     def __post_init__(self):
         if not (math.isfinite(self.max_hand_depth_mm) and self.max_hand_depth_mm > 0):
             raise ValueError("max_hand_depth_mm must be finite and positive")
-        if not (isinstance(self.n_layers, Integral) and self.n_layers >= 1):
+        if not _is_int(self.n_layers, 1):
             raise ValueError("n_layers must be an integer >= 1")
 
 
@@ -58,133 +65,96 @@ class RunConfig:
     def __post_init__(self):
         if self.feature_kind not in FEATURE_KINDS:
             raise ConfigError(f"feature_kind must be one of {FEATURE_KINDS}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if len(self.layer_sizes) < 1 or any(s < 1 for s in self.layer_sizes):
-            raise ConfigError("layer_sizes must be a non-empty list of positive sizes")
+        if not _is_int(self.workers, 1):
+            raise ConfigError("workers must be an integer >= 1")
+        if not (len(self.layer_sizes) >= 1 and all(_is_int(s, 1) for s in self.layer_sizes)):
+            raise ConfigError("layer_sizes must be a non-empty list of integers >= 1")
         if self.rbm and len(self.rbm) != len(self.layer_sizes):
             raise ConfigError("rbm config list must match layer_sizes length")
+        if not _is_int(self.rng_seed, 0):
+            raise ConfigError("rng_seed must be an integer >= 0")
 
     def rbm_configs(self) -> list:
         """Per-layer RBM configs; defaults derive their seeds from rng_seed."""
         if self.rbm:
             return list(self.rbm)
-        return [RbmTrainConfig(rng_seed=self.rng_seed + 21 + i) for i in range(len(self.layer_sizes))]
+        return [RbmTrainConfig(rng_seed=self.rng_seed + RBM_SEED_OFFSET + i) for i in range(len(self.layer_sizes))]
 
 
 # component seeds derived from the global seed when not pinned in JSON
 SPLIT_SEED_OFFSET = 11
+RBM_SEED_OFFSET = 21
 SUPERVISED_SEED_OFFSET = 31
 
 
-def _build_stage(d: dict, defaults: StageConfig) -> StageConfig:
-    kwargs = asdict(defaults)
-    kwargs.update(d)
-    return StageConfig(**kwargs)
+def _section(data: dict, key: str) -> dict:
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{key} must be a JSON object")
+    return section
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from a (possibly partial) JSON dict."""
+    """Build a RunConfig from a (possibly partial) JSON object; absent fields take their defaults."""
+    if not isinstance(data, dict):
+        raise ConfigError("a config must be a JSON object")
     try:
-        data = dict(data)
-        seed = data.get("rng_seed", 1234)
-        if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
-            raise ValueError("rng_seed must be an integer >= 0")
+        # checks the global seed before the component seeds derive from it
+        cfg = RunConfig(rng_seed=data.get("rng_seed", RunConfig.rng_seed))
+        seed = cfg.rng_seed
 
-        paths = PathsConfig(**data.get("paths", {}))
+        pre = dict(_section(data, "preprocessing"))
+        pre["alignment"] = MaskAlignment(**_section(pre, "alignment"))
 
-        pre = dict(data.get("preprocessing", {}))
-        alignment = MaskAlignment(**pre.pop("alignment", {}))
-        preprocessing = PreprocessConfig(alignment=alignment, **pre)
+        layer_sizes = tuple(data.get("layer_sizes", cfg.layer_sizes))
+        rbm = data.get("rbm", [])
+        if isinstance(rbm, dict):
+            rbm = [{"rng_seed": seed + RBM_SEED_OFFSET + i, **rbm} for i in range(len(layer_sizes))]
+        elif not isinstance(rbm, list):
+            raise ValueError("rbm must be a JSON object or a list of them")
 
-        filter_bank = FilterBankConfig.from_dict(data.get("filter_bank", {})) if data.get("filter_bank") else FilterBankConfig()
+        supervised = {"rng_seed": seed + SUPERVISED_SEED_OFFSET, **_section(data, "supervised")}
+        for stage in ("stage2", "stage3"):
+            supervised[stage] = replace(getattr(cfg.supervised, stage), **_section(supervised, stage))
 
-        layer_sizes = tuple(data.get("layer_sizes", DEFAULT_LAYER_SIZES))
-
-        rbm_raw = data.get("rbm", None)
-        if rbm_raw is None:
-            rbm = []
-        elif isinstance(rbm_raw, dict):
-            rbm = [
-                RbmTrainConfig(**{**rbm_raw, "rng_seed": rbm_raw.get("rng_seed", seed + 21 + i)})
-                for i in range(len(layer_sizes))
-            ]
-        else:
-            rbm = [RbmTrainConfig(**entry) for entry in rbm_raw]
-
-        sup_raw = dict(data.get("supervised", {}))
-        stage2 = _build_stage(sup_raw.get("stage2", {}), StageConfig(input_noise_sigma=0.1))
-        stage3 = _build_stage(sup_raw.get("stage3", {}), StageConfig(learning_rate=0.01, l2_coeff=1e-4))
-        supervised = SupervisedTrainConfig(
-            stage2=stage2,
-            stage3=stage3,
-            rng_seed=sup_raw.get("rng_seed", seed + SUPERVISED_SEED_OFFSET),
-        )
-
-        split_raw = dict(data.get("split", {}))
-        split = SplitSpec(
-            mode=split_raw.get("mode", "allseen"),
-            test_user=split_raw.get("test_user"),
-            rng_seed=split_raw.get("rng_seed", seed + SPLIT_SEED_OFFSET),
-        )
-
-        return RunConfig(
-            paths=paths,
-            preprocessing=preprocessing,
-            feature_kind=data.get("feature_kind", "combined"),
-            filter_bank=filter_bank,
+        return replace(
+            cfg,
+            paths=PathsConfig(**_section(data, "paths")),
+            preprocessing=PreprocessConfig(**pre),
+            feature_kind=data.get("feature_kind", cfg.feature_kind),
+            filter_bank=FilterBankConfig(**_section(data, "filter_bank")),
             layer_sizes=layer_sizes,
-            rbm=rbm,
-            supervised=supervised,
-            split=split,
-            workers=int(data.get("workers", 1)),
-            rng_seed=seed,
+            rbm=[RbmTrainConfig(**entry) for entry in rbm],
+            supervised=SupervisedTrainConfig(**supervised),
+            split=SplitSpec(**{"rng_seed": seed + SPLIT_SEED_OFFSET, **_section(data, "split")}),
+            workers=data.get("workers", cfg.workers),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Full effective configuration (every default resolved)."""
-    return {
-        "paths": asdict(cfg.paths),
-        "preprocessing": {
-            "max_hand_depth_mm": cfg.preprocessing.max_hand_depth_mm,
-            "n_layers": cfg.preprocessing.n_layers,
-            "alignment": asdict(cfg.preprocessing.alignment),
-        },
-        "feature_kind": cfg.feature_kind,
-        "filter_bank": cfg.filter_bank.to_dict(),
-        "layer_sizes": list(cfg.layer_sizes),
-        "rbm": [asdict(c) for c in cfg.rbm_configs()],
-        "supervised": {
-            "stage2": asdict(cfg.supervised.stage2),
-            "stage3": asdict(cfg.supervised.stage3),
-            "rng_seed": cfg.supervised.rng_seed,
-        },
-        "split": {
-            "mode": cfg.split.mode,
-            "test_user": cfg.split.test_user,
-            "rng_seed": cfg.split.rng_seed,
-        },
-        "workers": cfg.workers,
-        "rng_seed": cfg.rng_seed,
-    }
+    return {**asdict(cfg), "rbm": [asdict(c) for c in cfg.rbm_configs()]}
+
+
+def read_config_file(path) -> dict:
+    """The JSON object in the UTF-8 file ``path``; any fault of the file raises :class:`ConfigError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise ConfigError(f"{path}: unreadable config: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: a config file must hold a JSON object")
+    return data
 
 
 def load_config(path=None) -> RunConfig:
-    """Load a config JSON; ``None`` gives the all-defaults configuration."""
-    if path is None:
-        return RunConfig()
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(data)
+    """Load a config JSON; ``None`` gives the configuration of an empty file (``{}``)."""
+    return config_from_dict({} if path is None else read_config_file(path))
 
 
 def save_config(cfg: RunConfig, path) -> None:

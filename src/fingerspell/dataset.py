@@ -51,6 +51,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.mode not in ("allseen", "unseen"):
             raise ValueError(f"unknown split mode {self.mode!r}")
+        if not (self.test_user is None or isinstance(self.test_user, str)):
+            raise ValueError("test_user must be a string or null")
         if not (isinstance(self.rng_seed, Integral) and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
             raise ValueError("rng_seed must be an integer >= 0")
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from fingerspell import container
 from fingerspell.alphabet import STATIC_LETTERS
@@ -88,11 +87,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _top_activations(layers, x: np.ndarray) -> np.ndarray:
-    """Sigmoid activations of the last of ``layers`` (``x`` itself when there are none)."""
+def forward_all(layers, x: np.ndarray) -> list:
+    """``[x, a1, ..., aL]``: the input, then the sigmoid activations after each of ``layers``."""
+    activations = [x]
     for rbm in layers:
-        x = sigmoid(x @ rbm.weights + rbm.hidden_bias)
-    return x
+        activations.append(rbm.hidden_probabilities(activations[-1]))
+    return activations
 
 
 class Dbn:
@@ -124,21 +124,12 @@ class Dbn:
     def input_dim(self) -> int:
         return self.rbm_layers[0].n_visible if self.rbm_layers else self.translation_w.shape[0]
 
-    def hidden_activations(self, x: np.ndarray) -> list:
-        """Sigmoid activations after each RBM layer (deterministic pass)."""
-        activations = []
-        a = np.asarray(x, dtype=np.float64)
-        for rbm in self.rbm_layers:
-            a = sigmoid(a @ rbm.weights + rbm.hidden_bias)
-            activations.append(a)
-        return activations
-
     def scores(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities for a vector or a batch."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.input_dim:
             raise DimensionMismatchError(f"input length {x.shape[-1]} != {self.input_dim}")
-        return softmax(_top_activations(self.rbm_layers, x) @ self.translation_w + self.translation_b)
+        return softmax(forward_all(self.rbm_layers, x)[-1] @ self.translation_w + self.translation_b)
 
     def forward(self, x: np.ndarray) -> Prediction:
         """Classify one feature vector."""
@@ -225,8 +216,8 @@ def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray, w_out=None):
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b = x.shape[0]
-    activations = dbn.hidden_activations(x)
-    top = activations[-1] if activations else x
+    activations = forward_all(dbn.rbm_layers, x)
+    top = activations[-1]
     dlogits = softmax(top @ dbn.translation_w + dbn.translation_b)
     loss = _mean_nll(dlogits, y_idx)
     dlogits[np.arange(b), y_idx] -= 1.0
@@ -239,10 +230,9 @@ def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray, w_out=None):
     rbm_hb_grads = [None] * len(dbn.rbm_layers)
     da = dlogits @ dbn.translation_w.T
     for k in range(len(dbn.rbm_layers) - 1, -1, -1):
-        a = activations[k]
+        a = activations[k + 1]
         dz = da * a * (1.0 - a)
-        prev = activations[k - 1] if k > 0 else x
-        rbm_w_grads[k] = np.matmul(prev.T, dz, out=None if w_out is None else w_out[k])
+        rbm_w_grads[k] = np.matmul(activations[k].T, dz, out=None if w_out is None else w_out[k])
         rbm_hb_grads[k] = dz.sum(axis=0)
         if k > 0:  # the input itself takes no gradient
             da = dz @ dbn.rbm_layers[k].weights.T
@@ -313,7 +303,7 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
     draws = _draws(xt.shape[0], s, rng, noise)
     with ThreadPoolExecutor(max_workers=1) as helper:
         ahead = helper.submit(next, draws, None)
-        top_v = _top_activations(frozen, xv)  # frozen layers give the same activations every epoch
+        top_v = forward_all(frozen, xv)[-1]  # frozen layers give the same activations every epoch
         best_loss = cross_entropy_loss(net, top_v, yv)
         best = [p.copy() for p in params]
         since_best = 0
@@ -327,7 +317,7 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
                     z *= s.input_noise_sigma
                     xb += z
                     np.clip(xb, 0.0, 1.0, out=xb)
-                rw, rb, gw, gb, loss = backprop_gradients(net, _top_activations(frozen, xb), yt[idx], w_out=w_grads)
+                rw, rb, gw, gb, loss = backprop_gradients(net, forward_all(frozen, xb)[-1], yt[idx], w_out=w_grads)
                 losses.append(loss)
                 grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
                 for p, v, g, l2 in zip(params, velocity, grads, decay):

@@ -193,22 +193,6 @@ class FilterBankConfig:
     def bar_dim(self) -> int:
         return 2 * 3 * self.bar_out_size ** 2
 
-    def to_dict(self) -> dict:
-        return {
-            "gabor_wavelengths": list(self.gabor_wavelengths),
-            "gabor_orientations": list(self.gabor_orientations),
-            "gabor_kernel_size": self.gabor_kernel_size,
-            "gabor_sigma_ratio": self.gabor_sigma_ratio,
-            "gabor_out_size": self.gabor_out_size,
-            "bar_orientations": list(self.bar_orientations),
-            "bar_kernel_size": self.bar_kernel_size,
-            "bar_out_size": self.bar_out_size,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterBankConfig":
-        return cls(**d)
-
 
 def gabor_kernel(wavelength: float, theta: float, size: int = 31, sigma_ratio: float = 0.5) -> np.ndarray:
     """Even-symmetric Gabor kernel: Gaussian envelope times a cosine carrier.

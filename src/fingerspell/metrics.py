@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,45 +47,16 @@ class EvalReport:
     split: str = ""
     confused_pairs: list = field(default_factory=list)   # (true, pred, count), largest first
 
-    def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "precision": self.precision,
-            "recall": self.recall,
-            "support": self.support,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "micro_precision": self.micro_precision,
-            "micro_recall": self.micro_recall,
-            "total": self.total,
-            "split": self.split,
-            "confused_pairs": [list(p) for p in self.confused_pairs],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            labels=tuple(d["labels"]),
-            precision=list(d["precision"]),
-            recall=list(d["recall"]),
-            support=list(d["support"]),
-            macro_precision=d["macro_precision"],
-            macro_recall=d["macro_recall"],
-            micro_precision=d["micro_precision"],
-            micro_recall=d["micro_recall"],
-            total=d["total"],
-            split=d.get("split", ""),
-            confused_pairs=[tuple(p) for p in d.get("confused_pairs", [])],
-        )
-
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
 
     @classmethod
     def load_json(cls, path) -> "EvalReport":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            d = json.load(fh)
+        pairs = [tuple(p) for p in d.get("confused_pairs", [])]
+        return cls(**{**d, "labels": tuple(d["labels"]), "confused_pairs": pairs})
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

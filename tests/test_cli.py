@@ -8,12 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fingerspell
 from fingerspell.alphabet import STATIC_LETTERS
-from fingerspell.cli import main
+from fingerspell.cli import _load_config_with_overrides, build_parser, main
+from fingerspell.config import config_to_dict, load_config
 from fingerspell.dbn import load_model, save_model
 from fingerspell.dataset import load_dataset
+from fingerspell.errors import ConfigError
 from fingerspell.features import extract_features, read_features, write_features
 from fingerspell.pgm import write_pgm
 
@@ -414,3 +418,85 @@ class TestConfigHandling:
         main(["gen-synthetic", "--config", str(cfg), "--seed", "31337", "--users", "1", "--per-class", "1"])
         b = next((tmp_path / "data" / "images").glob("*_depth.pgm")).read_bytes()
         assert a != b
+
+
+# config-file faults that used to end in a traceback (exit 1), exit 3 or a silent load
+FAULTY_CONFIG_FILES = {
+    "not_utf8": b'{"feature_kind": "c\xe9"}',
+    "list": b"[]",
+    "list_of_pairs": b'[["rng_seed", 5]]',
+    "filter_bank_null": b'{"filter_bank": null}',
+    "filter_bank_list": b'{"filter_bank": []}',
+    "split_null": b'{"split": null}',
+    "layer_sizes_fraction": b'{"layer_sizes": [8.5]}',
+    "workers_fraction": b'{"workers": 2.7}',
+    "workers_string": b'{"workers": "2"}',
+    "test_user_list": b'{"split": {"mode": "unseen", "test_user": []}}',
+    "path_nul": b'{"paths": {"manifest": "data/a\\u0000b.csv"}}',
+}
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("name", sorted(FAULTY_CONFIG_FILES))
+    def test_faulty_file_exits_2(self, tmp_path, capsys, name):
+        p = tmp_path / "run.json"
+        p.write_bytes(FAULTY_CONFIG_FILES[name])
+        for command in (["extract"], ["train"], ["gen-synthetic", "--users", "1", "--per-class", "1"]):
+            assert main(command + ["--config", str(p), "--split", "allseen"]) == 2
+            assert "config error" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["extract", "--config", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_no_config_echoes_the_loaded_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-synthetic", "--users", "1", "--per-class", "1"]) == 0
+        echoed = (tmp_path / "out" / "config.effective.json").read_text()
+        assert echoed == json.dumps(config_to_dict(load_config(None)), indent=2)
+
+    def test_flags_override_the_file(self, tmp_path):
+        p = write_config(tmp_path, split={"mode": "allseen", "rng_seed": 4})
+        args = build_parser().parse_args(["train", "--config", str(p), "--seed", "9", "--workers", "2",
+                                          "--feature-kind", "raw", "--split", "unseen", "--test-user", "u1"])
+        cfg = _load_config_with_overrides(args)
+        assert (cfg.rng_seed, cfg.workers, cfg.feature_kind) == (9, 2, "raw")
+        assert (cfg.split.mode, cfg.split.test_user, cfg.split.rng_seed) == ("unseen", "u1", 4)
+        assert cfg.layer_sizes == (30, 20)
+
+
+config_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+flag_values = {
+    "--seed": st.integers(-5, 2**70).map(str),
+    "--workers": st.integers(-2, 3).map(str),
+    "--feature-kind": st.sampled_from(["combined", "raw", "gabor", "bar"]),
+    "--split": st.sampled_from(["allseen", "unseen"]),
+    "--test-user": st.text(st.characters(codec="ascii", exclude_characters="-"), min_size=1, max_size=4),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    """One config file that every fuzz example overwrites."""
+    return tmp_path_factory.mktemp("fuzz") / "run.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config_json | st.dictionaries(st.sampled_from(["split", "rng_seed", "workers", "feature_kind"]), config_json),
+    st.data(),
+)
+def test_fuzz_config_file_with_flag_overrides(fuzz_config, raw, data):
+    fuzz_config.write_text(json.dumps(raw))
+    argv = ["extract", "--config", str(fuzz_config)]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flag_values)), unique=True)):
+        argv += [flag, data.draw(flag_values[flag])]
+    try:
+        _load_config_with_overrides(build_parser().parse_args(argv))
+    except ConfigError:
+        pass

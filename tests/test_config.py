@@ -1,8 +1,65 @@
+import json
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingerspell.config import RunConfig, config_from_dict, config_to_dict, load_config, save_config
 from fingerspell.errors import ConfigError
+from fingerspell.features import FilterBankConfig
+
+
+def ref_config_to_dict(cfg):
+    """The hand-written ``config_to_dict`` that ``dataclasses.asdict`` replaced, kept as the byte reference."""
+    return {
+        "paths": asdict(cfg.paths),
+        "preprocessing": {
+            "max_hand_depth_mm": cfg.preprocessing.max_hand_depth_mm,
+            "n_layers": cfg.preprocessing.n_layers,
+            "alignment": asdict(cfg.preprocessing.alignment),
+        },
+        "feature_kind": cfg.feature_kind,
+        "filter_bank": {
+            "gabor_wavelengths": list(cfg.filter_bank.gabor_wavelengths),
+            "gabor_orientations": list(cfg.filter_bank.gabor_orientations),
+            "gabor_kernel_size": cfg.filter_bank.gabor_kernel_size,
+            "gabor_sigma_ratio": cfg.filter_bank.gabor_sigma_ratio,
+            "gabor_out_size": cfg.filter_bank.gabor_out_size,
+            "bar_orientations": list(cfg.filter_bank.bar_orientations),
+            "bar_kernel_size": cfg.filter_bank.bar_kernel_size,
+            "bar_out_size": cfg.filter_bank.bar_out_size,
+        },
+        "layer_sizes": list(cfg.layer_sizes),
+        "rbm": [asdict(c) for c in cfg.rbm_configs()],
+        "supervised": {
+            "stage2": asdict(cfg.supervised.stage2),
+            "stage3": asdict(cfg.supervised.stage3),
+            "rng_seed": cfg.supervised.rng_seed,
+        },
+        "split": {
+            "mode": cfg.split.mode,
+            "test_user": cfg.split.test_user,
+            "rng_seed": cfg.split.rng_seed,
+        },
+        "workers": cfg.workers,
+        "rng_seed": cfg.rng_seed,
+    }
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def loads_or_config_error(data):
+    try:
+        config_from_dict(data)
+    except ConfigError:
+        pass
 
 
 class TestRunConfig:
@@ -52,6 +109,7 @@ class TestRunConfig:
         {"n_layers": "6"},
         {"alignment": {"offset_x": float("nan")}},
         {"alignment": {"scale_y": float("inf")}},
+        {"max_hand_depth_mm": 10**400},
     ])
     def test_invalid_preprocessing_raises_config_error(self, preprocessing):
         with pytest.raises(ConfigError):
@@ -83,6 +141,7 @@ class TestRunConfig:
         {"supervised": {"stage3": {"l2_coeff": float("nan")}}},
         {"supervised": {"stage2": {"momentum": 1.5}}},
         {"supervised": {"stage3": {"momentum": float("nan")}}},
+        {"supervised": {"stage2": {"learning_rate": 10**400}}},
         {"rbm": {"convergence_window": 0}},
         {"rbm": {"convergence_window": 2.5}},
         {"rbm": {"convergence_tol": float("nan")}},
@@ -134,3 +193,197 @@ class TestRunConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "none.json")
+
+
+class TestDictConversion:
+    @pytest.mark.parametrize("raw", [
+        {},
+        {"layer_sizes": [6, 4], "rbm": [{"epochs": 1, "rng_seed": 1}, {"epochs": 2, "learning_rate": 0.05}]},
+        {"feature_kind": "gabor", "filter_bank": {"gabor_wavelengths": [3, 5.5, 7, 9], "gabor_out_size": 20,
+                                                  "bar_orientations": [0, 1, 2]}},
+        {"rng_seed": 5, "rbm": {"epochs": 3}, "split": {"mode": "unseen", "test_user": "user01"}, "workers": 2,
+         "supervised": {"stage2": {"epochs": 7}, "stage3": {"learning_rate": 0.005}, "rng_seed": 9}},
+    ])
+    def test_json_text_equals_hand_written_reference(self, tmp_path, raw):
+        cfg = config_from_dict(raw)
+        expected = json.dumps(ref_config_to_dict(cfg), indent=2)
+        assert json.dumps(config_to_dict(cfg), indent=2) == expected
+        save_config(cfg, tmp_path / "cfg.json")
+        assert (tmp_path / "cfg.json").read_text() == expected
+
+    def test_stage_defaults_come_from_supervised_config(self):
+        cfg = config_from_dict({"supervised": {"stage2": {"epochs": 7}, "stage3": {}}})
+        defaults = RunConfig().supervised
+        assert cfg.supervised.stage3 == defaults.stage3
+        assert asdict(cfg.supervised.stage2) == {**asdict(defaults.stage2), "epochs": 7}
+
+    def test_filter_bank_section_sets_every_field(self):
+        values = {"gabor_wavelengths": [3, 5, 7, 9], "gabor_orientations": [0, 1, 2, 3], "gabor_kernel_size": 15,
+                  "gabor_sigma_ratio": 0.4, "gabor_out_size": 20, "bar_orientations": [0, 0.5, 1],
+                  "bar_kernel_size": 7, "bar_out_size": 32}
+        assert sorted(values) == sorted(f.name for f in fields(FilterBankConfig))
+        echoed = json.loads(json.dumps(config_to_dict(config_from_dict({"filter_bank": values}))))
+        assert echoed["filter_bank"] == values
+
+
+class TestLoading:
+    def test_no_file_equals_empty_object(self):
+        assert load_config(None) == config_from_dict({})
+        # component seeds derive from the default global seed, as they do for a file holding {}
+        assert load_config(None).split.rng_seed == 1245 and load_config(None).supervised.rng_seed == 1265
+
+    def test_empty_object_file_equals_no_file(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text("{}")
+        assert load_config(p) == load_config(None)
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",                     # not UTF-8
+        b'{"feature_kind": "c\xe9"}',      # Latin-1 inside a JSON string
+        b"[]",
+        b'[["rng_seed", 5]]',              # used to load as {"rng_seed": 5}
+        b"null",
+        b"7",
+        b'"{}"',
+        b"{not json",
+        b"",
+    ])
+    def test_file_faults_raise_config_error(self, tmp_path, content):
+        p = tmp_path / "run.json"
+        p.write_bytes(content)
+        with pytest.raises(ConfigError):
+            load_config(p)
+
+    def test_directory_raises_config_error(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_config(tmp_path)
+
+    @pytest.mark.parametrize("raw", [
+        {"filter_bank": None},
+        {"filter_bank": []},
+        {"filter_bank": [["gabor_out_size", 20]]},
+        {"paths": None},
+        {"paths": [["manifest", "m.csv"]]},
+        {"preprocessing": None},
+        {"preprocessing": {"alignment": None}},
+        {"preprocessing": {"alignment": []}},
+        {"supervised": None},
+        {"supervised": [["rng_seed", 3]]},
+        {"supervised": {"stage2": None}},
+        {"supervised": {"stage3": []}},
+        {"split": None},
+        {"split": [["mode", "unseen"]]},
+        {"rbm": None},
+        {"rbm": 3},
+        {"rbm": "epochs"},
+        {"layer_sizes": [6, 4], "rbm": [{"epochs": 1}, None]},
+        {"paths": {"manifest": 5}},
+        {"paths": {"model": "out/a\0b"}},
+        {"split": {"mode": "unseen", "test_user": []}},
+        {"split": {"mode": "unseen", "test_user": 3}},
+    ])
+    def test_section_that_is_not_an_object_raises_config_error(self, raw):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [
+        {"supervised": {"stage4": {}}},
+        {"split": {"user": "u1"}},
+        {"paths": {"models": "m.hsdbn"}},
+        {"rbm": {"epoch": 3}},
+    ])
+    def test_unknown_key_in_a_section_raises_config_error(self, raw):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+    def test_unknown_top_level_key_is_ignored(self):
+        assert config_from_dict({"comment": "trial 3"}) == config_from_dict({})
+
+    @pytest.mark.parametrize("data", [None, [], [["rng_seed", 5]], "{}", 7])
+    def test_top_level_must_be_an_object(self, data):
+        with pytest.raises(ConfigError):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("raw", [
+        {"layer_sizes": [8.5]},
+        {"layer_sizes": [8, 4.0]},
+        {"layer_sizes": [True]},
+        {"layer_sizes": ["8"]},
+        {"layer_sizes": "8"},
+        {"layer_sizes": 8},
+        {"layer_sizes": [8, 0]},
+        {"workers": 2.7},
+        {"workers": "2"},
+        {"workers": True},
+        {"workers": None},
+    ])
+    def test_run_config_fields_raise_config_error(self, raw):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rng_seed": -1},
+        {"rng_seed": 1.5},
+        {"rng_seed": True},
+        {"workers": "2"},
+        {"workers": 0},
+        {"layer_sizes": (8.5,)},
+        {"layer_sizes": (False, 4)},
+    ])
+    def test_run_config_checks_its_own_fields(self, kwargs):
+        with pytest.raises(ConfigError):
+            RunConfig(**kwargs)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    """One config file that every fuzz example overwrites."""
+    return tmp_path_factory.mktemp("fuzz") / "run.json"
+
+
+DEFAULT_DICT = json.loads(json.dumps(config_to_dict(RunConfig())))
+
+
+def mutate(data, draw):
+    """Replace or delete one value anywhere in ``data`` (a JSON object), in place."""
+    node = data
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+        elif isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = draw(json_values)
+            return
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_any_json_value(self, data):
+        loads_or_config_error(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(DEFAULT_DICT)), json_values, max_size=4))
+    def test_any_value_under_known_keys(self, data):
+        loads_or_config_error(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutations_of_a_valid_config(self, data):
+        raw = json.loads(json.dumps(DEFAULT_DICT))
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate(raw, data.draw)
+        loads_or_config_error(raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200) | json_values.map(lambda v: json.dumps(v).encode()))
+    def test_any_file_bytes(self, fuzz_path, content):
+        fuzz_path.write_bytes(content)
+        try:
+            load_config(fuzz_path)
+        except ConfigError:
+            pass

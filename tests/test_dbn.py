@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit as sigmoid
 
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.dbn import (
@@ -11,6 +14,7 @@ from fingerspell.dbn import (
     backprop_gradients,
     cross_entropy_loss,
     fine_tune,
+    forward_all,
     load_model,
     pretrain,
     save_model,
@@ -110,6 +114,20 @@ class TestForward:
         with pytest.raises(NumericError):
             net.scores(np.ones((3, 6)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=4), st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_forward_all_equals_per_layer_loop(self, dims, rows, seed):
+        # zero to three layers; every activation is the same bytes as sigmoid(x @ W + b), layer by layer
+        rng = np.random.default_rng(seed)
+        layers = [Rbm(nv, nh, rng=rng, hidden_bias=rng.normal(size=nh)) for nv, nh in zip(dims, dims[1:])]
+        x = rng.random((rows, dims[0]))
+        expected = [x]
+        for rbm in layers:
+            expected.append(sigmoid(expected[-1] @ rbm.weights + rbm.hidden_bias))
+        got = forward_all(layers, x)
+        assert got[0] is x and len(got) == len(expected)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
     def test_softmax_stability(self):
         s = softmax(np.array([1000.0, 1000.0, -1000.0]))
         assert np.isfinite(s).all() and abs(s.sum() - 1) < 1e-12
@@ -182,7 +200,7 @@ class TestGradients:
         x = np.random.default_rng(11).random((4, 5))
         y = np.array([0, 5, 11, 23])
         _, _, gw_t, gb_t, _ = backprop_gradients(net, x, y)
-        top = net.hidden_activations(x)[-1]
+        top = forward_all(net.rbm_layers, x)[-1]
         probs = net.scores(x)
         dl = probs.copy()
         dl[np.arange(4), y] -= 1

@@ -16,6 +16,23 @@ from fingerspell.metrics import (
 )
 
 
+def ref_report_to_dict(report):
+    """The hand-written ``EvalReport.to_dict`` that ``dataclasses.asdict`` replaced, kept as the byte reference."""
+    return {
+        "labels": list(report.labels),
+        "precision": report.precision,
+        "recall": report.recall,
+        "support": report.support,
+        "macro_precision": report.macro_precision,
+        "macro_recall": report.macro_recall,
+        "micro_precision": report.micro_precision,
+        "micro_recall": report.micro_recall,
+        "total": report.total,
+        "split": report.split,
+        "confused_pairs": [list(p) for p in report.confused_pairs],
+    }
+
+
 def brute_force_metrics(cm, labels):
     """Independent per-class counting oracle."""
     precision, recall = [], []
@@ -135,6 +152,16 @@ class TestReportSerialization:
         rep.save_json(p)
         back = EvalReport.load_json(p)
         assert back == rep
+
+    def test_json_text_equals_hand_written_reference(self, tmp_path):
+        cm = np.zeros((24, 24), dtype=np.int64)
+        cm[0, 0], cm[0, 3], cm[4, 18], cm[7, 7] = 3, 2, 5, 1  # letters without samples get None entries
+        rep = precision_recall(cm, split="unseen:user02")
+        assert None in rep.recall and None in rep.precision and len(rep.confused_pairs) == 2
+        p = tmp_path / "report.json"
+        rep.save_json(p)
+        assert p.read_text() == json.dumps(ref_report_to_dict(rep), indent=2)
+        assert EvalReport.load_json(p) == rep
 
     def test_csv_rows(self, tmp_path):
         rep = self.make_report()

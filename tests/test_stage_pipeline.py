@@ -12,6 +12,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import expit as sigmoid
 
 import fingerspell.dbn as dbn_mod
 from fingerspell.alphabet import STATIC_LETTERS
@@ -19,7 +20,6 @@ from fingerspell.dbn import (
     Dbn,
     StageConfig,
     SupervisedTrainConfig,
-    _top_activations,
     backprop_gradients,
     cross_entropy_loss,
     fine_tune,
@@ -29,9 +29,16 @@ from fingerspell.errors import NumericError
 from fingerspell.rbm import Rbm, StepScratch, param_step
 
 
+def ref_top_activations(layers, x):
+    """The last activations of the frozen layers, one ``sigmoid(x @ W + b)`` per layer."""
+    for rbm in layers:
+        x = sigmoid(x @ rbm.weights + rbm.hidden_bias)
+    return x
+
+
 def ref_run_stage(net, frozen, train, valid, s, rng, on_epoch):
     (xt, yt), (xv, yv) = train, valid
-    top_v = _top_activations(frozen, xv)
+    top_v = ref_top_activations(frozen, xv)
     params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
     decay = [s.l2_coeff, None] * (len(params) // 2)
     velocity = [np.zeros_like(p) for p in params]
@@ -53,7 +60,7 @@ def ref_run_stage(net, frozen, train, valid, s, rng, on_epoch):
                 z *= s.input_noise_sigma
                 xb += z
                 np.clip(xb, 0.0, 1.0, out=xb)
-            rw, rb, gw, gb, loss = backprop_gradients(net, _top_activations(frozen, xb), yt[idx], w_out=w_grads)
+            rw, rb, gw, gb, loss = backprop_gradients(net, ref_top_activations(frozen, xb), yt[idx], w_out=w_grads)
             losses.append(loss)
             grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
             for p, v, g, l2 in zip(params, velocity, grads, decay):
