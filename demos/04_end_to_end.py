@@ -14,8 +14,7 @@ from pathlib import Path
 from fingerspell.cli import main as cli
 
 
-def main():
-    base = Path(tempfile.mkdtemp(prefix="fingerspell_demo_"))
+def run(base: Path):
     config = {
         "paths": {
             "manifest": str(base / "data" / "manifest.csv"),
@@ -33,15 +32,16 @@ def main():
     cfg.write_text(json.dumps(config, indent=2))
     print(f"workspace: {base}")
 
-    for argv in (
-        ["gen-synthetic", "--config", str(cfg), "--users", "3", "--per-class", "12"],
-        ["extract", "--config", str(cfg)],
-        ["train", "--config", str(cfg)],
-        ["eval", "--config", str(cfg)],
-    ):
+    def command(argv):
         print(f"\n$ fingerspell {' '.join(argv)}")
         code = cli(argv)
-        assert code == 0, f"command failed with exit code {code}"
+        if code != 0:
+            raise SystemExit(f"command failed with exit code {code}")
+
+    command(["gen-synthetic", "--config", str(cfg), "--users", "3", "--per-class", "12"])
+    command(["extract", "--config", str(cfg)])
+    command(["train", "--config", str(cfg)])
+    command(["eval", "--config", str(cfg)])
 
     report = json.loads((base / "out" / "report.json").read_text())
     print(f"\nheld-out quarter: macro recall {report['macro_recall']:.3f}, "
@@ -52,8 +52,13 @@ def main():
 
     depth = next((base / "data" / "images").glob("u00_A_000_depth.pgm"))
     intensity = Path(str(depth).replace("_depth", "_intensity"))
-    print(f"\n$ fingerspell predict {depth.name} {intensity.name}")
-    cli(["predict", "--config", str(cfg), str(depth), str(intensity)])
+    command(["predict", "--config", str(cfg), str(depth), str(intensity)])
+
+
+def main():
+    # the workspace (about 77 MB of images, features and model) is removed when the run ends
+    with tempfile.TemporaryDirectory(prefix="fingerspell_demo_") as base:
+        run(Path(base))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,9 @@ from fingerspell import dataset as ds
 from fingerspell import dbn as dbn_mod
 from fingerspell import metrics
 from fingerspell.config import RunConfig, config_from_dict, read_config_file, save_config
-from fingerspell.errors import ConfigError, FingerspellError, MissingFileError, NumericError
+from fingerspell.errors import (
+    ConfigError, EmptyDataError, FingerspellError, FormatError, MissingFileError, NumericError,
+)
 from fingerspell.features import extract_features, feature_dim, read_features, write_features
 from fingerspell.pgm import read_pgm
 
@@ -76,16 +79,41 @@ def _feature_paths(cfg: RunConfig) -> tuple[Path, Path]:
 def _read_labels(path) -> list:
     if not Path(path).exists():
         raise MissingFileError(f"labels file not found: {path}")
-    rows = []
     with open(path, newline="") as fh:
-        for i, rec in enumerate(csv.DictReader(fh)):
-            rows.append(FeatureRow(rec["user"], rec["letter"], i))
-    return rows
+        reader = csv.DictReader(fh)
+        if not {"user", "letter"} <= set(reader.fieldnames or ()):
+            raise FormatError(f"{path}: labels header must contain 'user' and 'letter'")
+        return [FeatureRow(rec["user"], rec["letter"], i) for i, rec in enumerate(reader)]
 
 
-def _model_path_for_user(model_path, user_id: str) -> Path:
-    p = Path(model_path)
-    return p.with_name(f"{p.stem}_{user_id}{p.suffix}")
+def _load_features(cfg: RunConfig):
+    """The feature matrix and its label rows, checked against the config and against each other."""
+    feat_path, label_path = _feature_paths(cfg)
+    if not feat_path.exists():
+        raise MissingFileError(f"feature file not found: {feat_path} (run extract first)")
+    kind, x = read_features(feat_path)
+    if kind != cfg.feature_kind:
+        raise ConfigError(f"feature file holds {kind!r} features, config wants {cfg.feature_kind!r}")
+    if x.shape[1] != feature_dim(cfg.feature_kind, cfg.filter_bank):
+        raise ConfigError(f"feature dimension {x.shape[1]} does not match kind {cfg.feature_kind!r}")
+    rows = _read_labels(label_path)
+    if len(rows) != x.shape[0]:
+        raise ConfigError("labels file and feature file disagree on sample count")
+    if not rows:
+        raise EmptyDataError(f"{feat_path} holds no samples")
+    return x, rows
+
+
+def _models(cfg: RunConfig, rows, model_path) -> list:
+    """``(split, model path, file suffix)`` of each model that train fits and eval scores.
+
+    An unseen split with no test user holds out each user in turn, one model (and suffix) per user.
+    """
+    if cfg.split.mode == "unseen" and cfg.split.test_user is None:
+        p = Path(model_path)
+        return [(replace(cfg.split, test_user=user), p.with_name(f"{p.stem}_{user}{p.suffix}"), f"_{user}")
+                for user in sorted({r.user_id for r in rows})]
+    return [(cfg.split, Path(model_path), "")]
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +136,10 @@ def cmd_gen_synthetic(cfg: RunConfig, n_users: int, per_class: int) -> int:
 # ---------------------------------------------------------------------------
 # extract
 
-def _extract_one(job):
-    depth, intensity, kind, t, n_layers, alignment, filter_bank = job
-    return extract_features(
-        depth, intensity, kind, t=t, n_layers=n_layers, alignment=alignment, filter_bank=filter_bank
-    )
+def _extract(cfg: RunConfig, depth, intensity):
+    pre = cfg.preprocessing
+    return extract_features(depth, intensity, cfg.feature_kind, t=pre.max_hand_depth_mm, n_layers=pre.n_layers,
+                            alignment=pre.alignment, filter_bank=cfg.filter_bank)
 
 
 def cmd_extract(cfg: RunConfig) -> int:
@@ -124,15 +151,11 @@ def cmd_extract(cfg: RunConfig) -> int:
     for user in sorted(counts):
         total = sum(counts[user].values())
         print(f"loaded {user}: {total} samples over {len(counts[user])} letters")
-    pre = cfg.preprocessing
-    jobs = [
-        (s.depth, s.intensity, cfg.feature_kind, pre.max_hand_depth_mm, pre.n_layers, pre.alignment, cfg.filter_bank)
-        for s in samples
-    ]
     # rows go straight into the float32 matrix the feature file stores
-    matrix = np.empty((len(jobs), feature_dim(cfg.feature_kind, cfg.filter_bank)), dtype=np.float32)
+    matrix = np.empty((len(samples), feature_dim(cfg.feature_kind, cfg.filter_bank)), dtype=np.float32)
+    job, depths, intensities = partial(_extract, cfg), [s.depth for s in samples], [s.intensity for s in samples]
     with ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
-        vectors = map(_extract_one, jobs) if pool is None else pool.map(_extract_one, jobs, chunksize=16)
+        vectors = map(job, depths, intensities) if pool is None else pool.map(job, depths, intensities, chunksize=16)
         for i, vec in enumerate(vectors):
             matrix[i] = vec
 
@@ -152,12 +175,14 @@ def cmd_extract(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _train_one_model(cfg: RunConfig, x, rows, split_spec, log_rows):
+def _train_one_model(cfg: RunConfig, x, rows, split_spec):
+    """The trained network and its log rows."""
     train_rows, valid_rows, _ = ds.split_dataset(rows, split_spec)
     xt = x[[r.index for r in train_rows]]
     yt = [r.letter for r in train_rows]
     xv = x[[r.index for r in valid_rows]]
     yv = [r.letter for r in valid_rows]
+    log_rows = []
 
     def rbm_log(layer, epoch, err):
         log_rows.append((f"rbm{layer + 1}", epoch, "", "", f"{err:.6f}"))
@@ -172,127 +197,70 @@ def _train_one_model(cfg: RunConfig, x, rows, split_spec, log_rows):
 
     dbn_mod.train_translation_layer(net, (xt, yt), (xv, yv), cfg.supervised, on_epoch=stage_log("stage2"))
     dbn_mod.fine_tune(net, (xt, yt), (xv, yv), cfg.supervised, on_epoch=stage_log("stage3"))
-    return net
+    return net, log_rows
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    feat_path, label_path = _feature_paths(cfg)
-    if not feat_path.exists():
-        raise MissingFileError(f"feature file not found: {feat_path} (run extract first)")
-    kind, x = read_features(feat_path)
-    if kind != cfg.feature_kind:
-        raise ConfigError(f"feature file holds {kind!r} features, config wants {cfg.feature_kind!r}")
-    if x.shape[1] != feature_dim(cfg.feature_kind, cfg.filter_bank):
-        raise ConfigError(f"feature dimension {x.shape[1]} does not match kind {cfg.feature_kind!r}")
-    rows = _read_labels(label_path)
-    if len(rows) != x.shape[0]:
-        raise ConfigError("labels file and feature file disagree on sample count")
-
-    out = Path(cfg.paths.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    x, rows = _load_features(cfg)
     _echo_config(cfg)
+    models = _models(cfg, rows, cfg.paths.model)
+    if models[0][2]:  # one model per held-out user
+        print(f"unseen split with no test user set: training {len(models)} hold-out models")
     sizes = "/".join(str(s) for s in cfg.layer_sizes)
-
-    if cfg.split.mode == "unseen" and cfg.split.test_user is None:
-        users = sorted({r.user_id for r in rows})
-        print(f"unseen split with no test user set: training {len(users)} hold-out models")
-        for user in users:
-            log_rows: list = []
-            spec = ds.SplitSpec(mode="unseen", test_user=user, rng_seed=cfg.split.rng_seed)
-            print(f"held-out user: {user}")
-            net = _train_one_model(cfg, x, rows, spec, log_rows)
-            model_path = _model_path_for_user(cfg.paths.model, user)
-            Path(model_path).parent.mkdir(parents=True, exist_ok=True)
-            dbn_mod.save_model(net, model_path)
-            _write_train_log(out / f"train_log_{user}.csv", sizes, cfg, log_rows, held_out=user)
-            print(f"saved {model_path}")
-        return EXIT_OK
-
-    log_rows = []
-    held_out = cfg.split.test_user if cfg.split.mode == "unseen" else None
-    if held_out is not None:
-        print(f"held-out user: {held_out}")
-    net = _train_one_model(cfg, x, rows, cfg.split, log_rows)
-    Path(cfg.paths.model).parent.mkdir(parents=True, exist_ok=True)
-    dbn_mod.save_model(net, cfg.paths.model)
-    _write_train_log(out / "train_log.csv", sizes, cfg, log_rows, held_out=held_out)
-    print(f"saved {cfg.paths.model}")
+    for spec, model_path, suffix in models:
+        if spec.test_user is not None:
+            print(f"held-out user: {spec.test_user}")
+        net, log_rows = _train_one_model(cfg, x, rows, spec)
+        model_path.parent.mkdir(parents=True, exist_ok=True)
+        dbn_mod.save_model(net, model_path)
+        with open(Path(cfg.paths.output_dir) / f"train_log{suffix}.csv", "w", newline="") as fh:
+            fh.write(f"# layer_sizes={sizes} feature_kind={cfg.feature_kind} split={cfg.split.mode}\n")
+            if spec.test_user is not None:
+                fh.write(f"# held_out_user={spec.test_user}\n")
+            writer = csv.writer(fh)
+            writer.writerow(["stage", "epoch", "train_loss", "valid_loss", "recon_error"])
+            writer.writerows(log_rows)
+        print(f"saved {model_path}")
     return EXIT_OK
-
-
-def _write_train_log(path, sizes, cfg, log_rows, held_out=None):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# layer_sizes={sizes} feature_kind={cfg.feature_kind} split={cfg.split.mode}\n")
-        if held_out is not None:
-            fh.write(f"# held_out_user={held_out}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "epoch", "train_loss", "valid_loss", "recon_error"])
-        writer.writerows(log_rows)
 
 
 # ---------------------------------------------------------------------------
 # eval
 
-def _evaluate_model(net, x, rows, split_name):
-    scores = net.scores(x[[r.index for r in rows]])
-    preds = [net.class_labels[i] for i in np.argmax(scores, axis=1)]
-    truths = [r.letter for r in rows]
-    cm = metrics.confusion(preds, truths, labels=net.class_labels)
-    return cm, metrics.precision_recall(cm, split=split_name, labels=net.class_labels)
-
-
 def cmd_eval(cfg: RunConfig, model_path=None) -> int:
-    feat_path, label_path = _feature_paths(cfg)
-    if not feat_path.exists():
-        raise MissingFileError(f"feature file not found: {feat_path} (run extract first)")
-    _, x = read_features(feat_path)
-    rows = _read_labels(label_path)
-    out = Path(cfg.paths.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model_path = Path(model_path) if model_path is not None else Path(cfg.paths.model)
+    x, rows = _load_features(cfg)
     _echo_config(cfg)
-
-    if cfg.split.mode == "unseen" and cfg.split.test_user is None:
-        users = sorted({r.user_id for r in rows})
-        reports = []
-        for user in users:
-            per_user = _model_path_for_user(model_path, user)
-            if not per_user.exists():
-                raise MissingFileError(
-                    f"per-user model not found: {per_user} (train with split=unseen and no test user)"
-                )
-            net = dbn_mod.load_model(per_user)
-            spec = ds.SplitSpec(mode="unseen", test_user=user, rng_seed=cfg.split.rng_seed)
-            _, _, test_rows = ds.split_dataset(rows, spec)
-            cm, report = _evaluate_model(net, x, test_rows, f"unseen:{user}")
-            metrics.confusion_to_csv(cm, out / f"confusion_{user}.csv", labels=net.class_labels)
-            report.save_json(out / f"report_{user}.json")
-            report.save_csv(out / f"report_{user}.csv")
-            reports.append((user, report))
-            print(f"{user}: macro recall {report.macro_recall:.4f} precision {report.macro_precision:.4f}")
+    out = Path(cfg.paths.output_dir)
+    models = _models(cfg, rows, cfg.paths.model if model_path is None else model_path)
+    reports = {}  # held-out user (None for a single model) -> report
+    for spec, path, suffix in models:
+        if not path.exists():
+            raise MissingFileError(f"model not found: {path} (train with the same split first)")
+        net = dbn_mod.load_model(path)
+        _, _, test_rows = ds.split_dataset(rows, spec)
+        scores = net.scores(x[[r.index for r in test_rows]])
+        preds = [net.class_labels[i] for i in np.argmax(scores, axis=1)]
+        cm = metrics.confusion(preds, [r.letter for r in test_rows], labels=net.class_labels)
+        split_name = spec.mode if spec.test_user is None else f"unseen:{spec.test_user}"
+        report = metrics.precision_recall(cm, split=split_name, labels=net.class_labels)
+        metrics.confusion_to_csv(cm, out / f"confusion{suffix}.csv", labels=net.class_labels)
+        report.save_json(out / f"report{suffix}.json")
+        report.save_csv(out / f"report{suffix}.csv")
+        reports[spec.test_user] = report
+        print(f"{split_name}: {report.total} samples, macro recall {report.macro_recall:.4f} "
+              f"precision {report.macro_precision:.4f}")
+    if models[0][2]:  # one model per held-out user
+        users = {u: {"macro_recall": r.macro_recall, "macro_precision": r.macro_precision} for u, r in reports.items()}
         averaged = {
             "split": "unseen:averaged",
-            "users": {u: {"macro_recall": r.macro_recall, "macro_precision": r.macro_precision} for u, r in reports},
-            "macro_recall": float(np.mean([r.macro_recall for _, r in reports])),
-            "macro_precision": float(np.mean([r.macro_precision for _, r in reports])),
+            "users": users,
+            "macro_recall": float(np.mean([r.macro_recall for r in reports.values()])),
+            "macro_precision": float(np.mean([r.macro_precision for r in reports.values()])),
         }
         with open(out / "report_unseen_averaged.json", "w") as fh:
             json.dump(averaged, fh, indent=2)
-        print(
-            f"averaged over {len(reports)} hold-outs: macro recall {averaged['macro_recall']:.4f} "
-            f"precision {averaged['macro_precision']:.4f}"
-        )
-        return EXIT_OK
-
-    net = dbn_mod.load_model(model_path)
-    _, _, test_rows = ds.split_dataset(rows, cfg.split)
-    split_name = cfg.split.mode if cfg.split.test_user is None else f"unseen:{cfg.split.test_user}"
-    cm, report = _evaluate_model(net, x, test_rows, split_name)
-    metrics.confusion_to_csv(cm, out / "confusion.csv", labels=net.class_labels)
-    report.save_json(out / "report.json")
-    report.save_csv(out / "report.csv")
-    print(f"{split_name}: {report.total} samples, macro recall {report.macro_recall:.4f} "
-          f"precision {report.macro_precision:.4f}")
+        print(f"averaged over {len(reports)} hold-outs: macro recall {averaged['macro_recall']:.4f} "
+              f"precision {averaged['macro_precision']:.4f}")
     return EXIT_OK
 
 
@@ -307,17 +275,7 @@ def cmd_predict(cfg: RunConfig, model_path, depth_path, intensity_path) -> int:
     ds.check_pair(depth, intensity, f"{depth_path}, {intensity_path}")
     depth = depth.astype(np.int32)
     net = dbn_mod.load_model(model_path if model_path is not None else cfg.paths.model)
-    pre = cfg.preprocessing
-    vec = extract_features(
-        depth,
-        intensity,
-        cfg.feature_kind,
-        t=pre.max_hand_depth_mm,
-        n_layers=pre.n_layers,
-        alignment=pre.alignment,
-        filter_bank=cfg.filter_bank,
-    )
-    prediction = net.forward(vec)
+    prediction = net.forward(_extract(cfg, depth, intensity))
     print(f"predicted: {prediction.label}")
     order = np.argsort(prediction.scores)[::-1]
     for i in order:

@@ -9,20 +9,14 @@ reseeds the whole run.
 """
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral
 
 from fingerspell.dataset import SplitSpec
 from fingerspell.dbn import DEFAULT_LAYER_SIZES, SupervisedTrainConfig
-from fingerspell.errors import ConfigError
+from fingerspell.errors import ConfigError, check_fields
 from fingerspell.features import FEATURE_KINDS, FilterBankConfig
 from fingerspell.imaging import DEFAULT_MAX_HAND_DEPTH_MM, MaskAlignment
 from fingerspell.rbm import RbmTrainConfig
-
-
-def _is_int(value, least: int) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass
@@ -32,8 +26,7 @@ class PathsConfig:
     model: str = "out/model.hsdbn"
 
     def __post_init__(self):
-        if not all(isinstance(p, str) and "\0" not in p for p in (self.manifest, self.output_dir, self.model)):
-            raise ValueError("paths must be strings without NUL characters")
+        check_fields(self, "a string without NUL", "manifest", "output_dir", "model")
 
 
 @dataclass
@@ -43,10 +36,8 @@ class PreprocessConfig:
     alignment: MaskAlignment = field(default_factory=MaskAlignment)
 
     def __post_init__(self):
-        if not (math.isfinite(self.max_hand_depth_mm) and self.max_hand_depth_mm > 0):
-            raise ValueError("max_hand_depth_mm must be finite and positive")
-        if not _is_int(self.n_layers, 1):
-            raise ValueError("n_layers must be an integer >= 1")
+        check_fields(self, "finite and positive", "max_hand_depth_mm")
+        check_fields(self, "an integer >= 1", "n_layers")
 
 
 @dataclass
@@ -65,14 +56,12 @@ class RunConfig:
     def __post_init__(self):
         if self.feature_kind not in FEATURE_KINDS:
             raise ConfigError(f"feature_kind must be one of {FEATURE_KINDS}")
-        if not _is_int(self.workers, 1):
-            raise ConfigError("workers must be an integer >= 1")
-        if not (len(self.layer_sizes) >= 1 and all(_is_int(s, 1) for s in self.layer_sizes)):
-            raise ConfigError("layer_sizes must be a non-empty list of integers >= 1")
+        if not (isinstance(self.layer_sizes, tuple) and self.layer_sizes):
+            raise ConfigError("layer_sizes must be a non-empty tuple")
+        check_fields(self, "an integer >= 1", "workers", "layer_sizes")
+        check_fields(self, "an integer >= 0", "rng_seed")
         if self.rbm and len(self.rbm) != len(self.layer_sizes):
             raise ConfigError("rbm config list must match layer_sizes length")
-        if not _is_int(self.rng_seed, 0):
-            raise ConfigError("rng_seed must be an integer >= 0")
 
     def rbm_configs(self) -> list:
         """Per-layer RBM configs; defaults derive their seeds from rng_seed."""

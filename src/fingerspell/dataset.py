@@ -13,7 +13,6 @@ remaining samples (stratified) for validation.
 
 import csv
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from fingerspell.errors import (
     MissingFileError,
     UnknownLetterError,
     UnknownUserError,
+    check_fields,
 )
 from fingerspell.pgm import read_pgm, write_pgm
 
@@ -51,10 +51,11 @@ class SplitSpec:
     def __post_init__(self):
         if self.mode not in ("allseen", "unseen"):
             raise ValueError(f"unknown split mode {self.mode!r}")
-        if not (self.test_user is None or isinstance(self.test_user, str)):
-            raise ValueError("test_user must be a string or null")
-        if not (isinstance(self.rng_seed, Integral) and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
-            raise ValueError("rng_seed must be an integer >= 0")
+        if self.test_user is not None:
+            if self.mode != "unseen":
+                raise ValueError("test_user is set only with split mode 'unseen'")
+            check_fields(self, "a string without NUL", "test_user")
+        check_fields(self, "an integer >= 0", "rng_seed")
 
 
 def check_pair(depth: np.ndarray, intensity: np.ndarray, where: str) -> None:

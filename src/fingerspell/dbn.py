@@ -10,10 +10,8 @@ learning rate.  Hidden activations use the same sigmoid as the RBM
 conditionals in every stage.
 """
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from fingerspell.errors import (
     EmptyDataError,
     LabelOutOfRangeError,
     NumericError,
+    check_fields,
 )
 from fingerspell.rbm import Rbm, RbmTrainConfig, StepScratch, param_step, train_rbm
 
@@ -45,16 +44,10 @@ class StageConfig:
     early_stopping_patience: int = 10
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
-        for key in ("epochs", "batch_size", "early_stopping_patience"):
-            if not (isinstance(getattr(self, key), Integral) and getattr(self, key) >= 1):
-                raise ValueError(f"{key} must be an integer >= 1")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
-        if not all(math.isfinite(c) and c >= 0 for c in (self.l2_coeff, self.input_noise_sigma)):
-            raise ValueError("l2_coeff and input_noise_sigma must be finite and >= 0")
+        check_fields(self, "finite and positive", "learning_rate")
+        check_fields(self, "an integer >= 1", "epochs", "batch_size", "early_stopping_patience")
+        check_fields(self, "in [0, 1)", "momentum")
+        check_fields(self, "finite and >= 0", "l2_coeff", "input_noise_sigma")
 
 
 @dataclass
@@ -67,8 +60,7 @@ class SupervisedTrainConfig:
     def __post_init__(self):
         if not self.stage3.learning_rate < self.stage2.learning_rate:
             raise ValueError("fine-tuning must use a lower learning rate than stage 2")
-        if not (isinstance(self.rng_seed, Integral) and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
-            raise ValueError("rng_seed must be an integer >= 0")
+        check_fields(self, "an integer >= 0", "rng_seed")
 
 
 @dataclass

@@ -16,13 +16,12 @@ bar filters) share the same preprocessed 128x128 inputs.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from fingerspell import container
-from fingerspell.errors import DimensionMismatchError
+from fingerspell.errors import DimensionMismatchError, check_fields
 from fingerspell.imaging import (
     DEFAULT_MAX_HAND_DEPTH_MM,
     MaskAlignment,
@@ -175,15 +174,9 @@ class FilterBankConfig:
             raise ValueError("gabor bank uses exactly 4 scales and 4 orientations")
         if len(self.bar_orientations) != 3:
             raise ValueError("bar bank uses exactly 3 kernels")
-        if not all(math.isfinite(w) and w > 0 for w in self.gabor_wavelengths):
-            raise ValueError("gabor wavelengths must be finite and positive")
-        if not all(map(math.isfinite, self.gabor_orientations + self.bar_orientations)):
-            raise ValueError("filter orientations must be finite")
-        if not (math.isfinite(self.gabor_sigma_ratio) and self.gabor_sigma_ratio > 0):
-            raise ValueError("gabor_sigma_ratio must be finite and positive")
-        for key in ("gabor_kernel_size", "gabor_out_size", "bar_kernel_size", "bar_out_size"):
-            if not (isinstance(getattr(self, key), Integral) and getattr(self, key) >= 1):
-                raise ValueError(f"{key} must be an integer >= 1")
+        check_fields(self, "finite and positive", "gabor_wavelengths", "gabor_sigma_ratio")
+        check_fields(self, "finite", "gabor_orientations", "bar_orientations")
+        check_fields(self, "an integer >= 1", "gabor_kernel_size", "gabor_out_size", "bar_kernel_size", "bar_out_size")
 
     @property
     def gabor_dim(self) -> int:

@@ -19,7 +19,6 @@ through index tables that depend only on the input and output sizes;
 the tables are built once, cached and read-only.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +29,7 @@ from fingerspell.errors import (
     ContentLargerThanTargetError,
     DimensionMismatchError,
     WrongInputSizeError,
+    check_fields,
 )
 
 DEFAULT_MAX_HAND_DEPTH_MM = 120
@@ -50,10 +50,8 @@ class MaskAlignment:
     offset_y: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.scale_x, self.scale_y, self.offset_x, self.offset_y))):
-            raise ValueError("alignment scales and offsets must be finite")
-        if self.scale_x <= 0 or self.scale_y <= 0:
-            raise ValueError("alignment scales must be positive")
+        check_fields(self, "finite and positive", "scale_x", "scale_y")
+        check_fields(self, "finite", "offset_x", "offset_y")
 
 
 def min_nonzero_depth(img: np.ndarray) -> int:

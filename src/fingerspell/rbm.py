@@ -9,15 +9,13 @@ decay is applied to the weights only, never to the biases.
 time, for CD-1 and for the supervised stages alike.
 """
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from fingerspell.errors import DimensionMismatchError, EmptyDataError, NumericError
+from fingerspell.errors import DimensionMismatchError, EmptyDataError, NumericError, check_fields
 
 
 @dataclass
@@ -35,18 +33,11 @@ class RbmTrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
-        if not (0 <= self.momentum < 1 and 0 <= self.initial_momentum < 1):
-            raise ValueError("momentum must lie in [0, 1)")
-        for key, least in (("batch_size", 1), ("epochs", 0), ("momentum_switch_epoch", 0), ("convergence_window", 1)):
-            if not (isinstance(getattr(self, key), Integral) and getattr(self, key) >= least):
-                raise ValueError(f"{key} must be an integer >= {least}")
-        if not all(math.isfinite(c) and c >= 0 for c in (self.l1_coeff, self.l2_coeff, self.convergence_tol)):
-            raise ValueError("l1_coeff, l2_coeff and convergence_tol must be finite and >= 0")
-        if not (isinstance(self.rng_seed, Integral) and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
-            raise ValueError("rng_seed must be an integer >= 0")
+        check_fields(self, "finite and positive", "learning_rate")
+        check_fields(self, "in [0, 1)", "momentum", "initial_momentum")
+        check_fields(self, "an integer >= 1", "batch_size", "convergence_window")
+        check_fields(self, "an integer >= 0", "epochs", "momentum_switch_epoch", "rng_seed")
+        check_fields(self, "finite and >= 0", "l1_coeff", "l2_coeff", "convergence_tol")
 
 
 BLOCK_ROWS = 256  # rows per block of param_step; 64 to 512 time the same

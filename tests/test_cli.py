@@ -45,6 +45,19 @@ def write_config(tmp_path, **overrides):
     return p
 
 
+def copy_workspace(workspace, tmp_path):
+    """A config whose output directory holds copies of the workspace's features, labels and model."""
+    src, cfg = workspace
+    (tmp_path / "out").mkdir()
+    for f in ("features_combined.bin", "labels.csv", "model.hsdbn"):
+        shutil.copy(src / "out" / f, tmp_path / "out" / f)
+    raw = json.loads(cfg.read_text())
+    raw["paths"].update(output_dir=str(tmp_path / "out"), model=str(tmp_path / "out" / "model.hsdbn"))
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(raw))
+    return p
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One tiny dataset + extraction + training shared by the read-only tests."""
@@ -229,6 +242,38 @@ class TestEval:
         main(["gen-synthetic", "--config", str(cfg), "--users", "1", "--per-class", "1"])
         main(["extract", "--config", str(cfg)])
         assert main(["eval", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("edit", ["longer", "shorter"])
+    def test_label_count_mismatch_exits_2(self, workspace, tmp_path, capsys, edit):
+        # a longer labels file used to end eval in an IndexError traceback; a shorter one evaluated a subset
+        cfg = copy_workspace(workspace, tmp_path)
+        labels = tmp_path / "out" / "labels.csv"
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join(lines + lines[1:2] if edit == "longer" else lines[:-1]) + "\n")
+        assert main(["eval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "disagree on sample count" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_labels_without_letter_column_exit_3(self, workspace, tmp_path, capsys, command):
+        # this used to end train and eval in a KeyError traceback (exit 1)
+        cfg = copy_workspace(workspace, tmp_path)
+        labels = tmp_path / "out" / "labels.csv"
+        labels.write_text(labels.read_text().replace("user,letter", "user,sign", 1))
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "'letter'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_test_user_without_unseen_split_exits_2(self, workspace, tmp_path, capsys, command):
+        # train used to fit the allseen split and eval to label its report "unseen:u01"
+        cfg = copy_workspace(workspace, tmp_path)
+        model = (tmp_path / "out" / "model.hsdbn").read_bytes()
+        assert main([command, "--config", str(cfg), "--test-user", "u01"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert (tmp_path / "out" / "model.hsdbn").read_bytes() == model
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestPredict:

@@ -1,5 +1,6 @@
+import copy
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -358,6 +359,39 @@ def mutate(data, draw):
         else:
             node[key] = draw(json_values)
             return
+
+
+def numeric_fields(section, path=()):
+    """``(path, default)`` of every numeric field, or tuple of numbers, in ``section`` and the sections inside it."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, list):  # the per-layer RBM configs
+            value = value[0]
+        if is_dataclass(value):
+            yield from numeric_fields(value, path + (f.name,))
+        elif isinstance(value, (int, float)) or (isinstance(value, tuple) and isinstance(value[0], (int, float))):
+            yield path + (f.name,), value
+
+
+NUMERIC_FIELDS = list(numeric_fields(replace(RunConfig(), rbm=RunConfig().rbm_configs())))
+
+
+class TestBoolFields:
+    def test_the_walk_reaches_every_section(self):
+        sections = {path[:-1] for path, _ in NUMERIC_FIELDS}
+        assert sections >= {(), ("preprocessing",), ("preprocessing", "alignment"), ("filter_bank",), ("rbm",),
+                            ("supervised",), ("supervised", "stage2"), ("supervised", "stage3"), ("split",)}
+
+    @pytest.mark.parametrize("path, default", NUMERIC_FIELDS, ids=[".".join(p) for p, _ in NUMERIC_FIELDS])
+    def test_true_is_refused_for_every_numeric_field(self, path, default):
+        assert config_to_dict(config_from_dict(DEFAULT_DICT)) == config_to_dict(RunConfig())
+        raw = copy.deepcopy(DEFAULT_DICT)
+        node = raw
+        for key in path[:-1]:
+            node = node[key][0] if isinstance(node[key], list) else node[key]  # rbm: the first layer
+        node[path[-1]] = [True, *default[1:]] if isinstance(default, tuple) else True
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
 
 
 class TestFuzz:
