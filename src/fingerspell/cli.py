@@ -30,10 +30,8 @@ from fingerspell import dataset as ds
 from fingerspell import dbn as dbn_mod
 from fingerspell import metrics
 from fingerspell.config import RunConfig, config_from_dict, read_config_file, save_config
-from fingerspell.errors import (
-    ConfigError, EmptyDataError, FingerspellError, FormatError, MissingFileError, NumericError,
-)
-from fingerspell.features import extract_features, feature_dim, read_features, write_features
+from fingerspell.errors import ConfigError, EmptyDataError, FingerspellError, MissingFileError, NumericError
+from fingerspell.features import FEATURE_KINDS, extract_features, feature_dim, read_features, write_features
 from fingerspell.pgm import read_pgm
 
 EXIT_OK = 0
@@ -76,16 +74,6 @@ def _feature_paths(cfg: RunConfig) -> tuple[Path, Path]:
     return out / f"features_{cfg.feature_kind}.bin", out / "labels.csv"
 
 
-def _read_labels(path) -> list:
-    if not Path(path).exists():
-        raise MissingFileError(f"labels file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"user", "letter"} <= set(reader.fieldnames or ()):
-            raise FormatError(f"{path}: labels header must contain 'user' and 'letter'")
-        return [FeatureRow(rec["user"], rec["letter"], i) for i, rec in enumerate(reader)]
-
-
 def _load_features(cfg: RunConfig):
     """The feature matrix and its label rows, checked against the config and against each other."""
     feat_path, label_path = _feature_paths(cfg)
@@ -96,7 +84,8 @@ def _load_features(cfg: RunConfig):
         raise ConfigError(f"feature file holds {kind!r} features, config wants {cfg.feature_kind!r}")
     if x.shape[1] != feature_dim(cfg.feature_kind, cfg.filter_bank):
         raise ConfigError(f"feature dimension {x.shape[1]} does not match kind {cfg.feature_kind!r}")
-    rows = _read_labels(label_path)
+    labels = ds.read_rows(label_path, "labels file")
+    rows = [FeatureRow(rec["user"], rec["letter"], i) for i, (_, rec) in enumerate(labels)]
     if len(rows) != x.shape[0]:
         raise ConfigError("labels file and feature file disagree on sample count")
     if not rows:
@@ -116,6 +105,12 @@ def _models(cfg: RunConfig, rows, model_path) -> list:
     return [(cfg.split, Path(model_path), "")]
 
 
+def _print_users(samples, prefix: str) -> None:
+    counts = ds.dataset_counts(samples)
+    for user in sorted(counts):
+        print(f"{prefix}{user}: {sum(counts[user].values())} samples over {len(counts[user])} letters")
+
+
 # ---------------------------------------------------------------------------
 # gen-synthetic
 
@@ -125,11 +120,8 @@ def cmd_gen_synthetic(cfg: RunConfig, n_users: int, per_class: int) -> int:
     samples = ds.gen_synthetic(n_users, per_class, cfg.rng_seed)
     manifest = ds.write_dataset(cfg.paths.manifest, samples)
     _echo_config(cfg)
-    counts = ds.dataset_counts(samples)
     print(f"wrote {len(samples)} samples to {manifest}")
-    for user in sorted(counts):
-        total = sum(counts[user].values())
-        print(f"  {user}: {total} samples over {len(counts[user])} letters")
+    _print_users(samples, "  ")
     return EXIT_OK
 
 
@@ -147,10 +139,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     if not samples:
         print("manifest is empty; nothing to extract")
         return EXIT_OK
-    counts = ds.dataset_counts(samples)
-    for user in sorted(counts):
-        total = sum(counts[user].values())
-        print(f"loaded {user}: {total} samples over {len(counts[user])} letters")
+    _print_users(samples, "loaded ")
     # rows go straight into the float32 matrix the feature file stores
     matrix = np.empty((len(samples), feature_dim(cfg.feature_kind, cfg.filter_bank)), dtype=np.float32)
     job, depths, intensities = partial(_extract, cfg), [s.depth for s in samples], [s.intensity for s in samples]
@@ -294,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, help="override the global rng seed")
         p.add_argument("--workers", type=int, help="parallel workers for feature extraction")
-        p.add_argument("--feature-kind", dest="feature_kind", choices=["combined", "raw", "gabor", "bar"])
+        p.add_argument("--feature-kind", dest="feature_kind", choices=FEATURE_KINDS)
         p.add_argument("--split", choices=["allseen", "unseen"])
         p.add_argument("--test-user", dest="test_user")
 
@@ -322,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_config_with_overrides(args)
         if args.command == "gen-synthetic":
@@ -334,9 +322,7 @@ def main(argv=None) -> int:
             return cmd_train(cfg)
         if args.command == "eval":
             return cmd_eval(cfg, args.model)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.model, args.depth, args.intensity)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_predict(cfg, args.model, args.depth, args.intensity)  # the subcommand is required
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -349,7 +335,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -72,37 +72,50 @@ def check_pair(depth: np.ndarray, intensity: np.ndarray, where: str) -> None:
             raise FormatError(f"{where}: {what} image {w}x{h} outside [{MIN_SIDE},{MAX_SIDE}]")
 
 
-def load_dataset(manifest_path) -> list:
-    """Read every manifest row into a validated :class:`Sample` list.
+def read_rows(path, what: str, columns=()):
+    """Yield ``(where, record)`` for each row of a CSV file with ``user``, ``letter`` and ``columns``.
 
-    Errors carry the offending row: missing or unreadable files, bad PGMs,
-    rows with fewer fields than the header, letters outside the static
-    alphabet, duplicate paths.  Sample order follows manifest row order.
+    ``where`` is ``path:line``; ``user`` and ``letter`` come stripped.
+    ``what`` names the file in errors: :class:`MissingFileError` when it is
+    absent, :class:`FormatError` for text that is not UTF-8, malformed CSV, a
+    header without every column or a row with fewer fields than the header,
+    and :class:`UnknownLetterError` for a letter outside the static alphabet.
+    The whole file is read before the first row is checked.
     """
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise MissingFileError(f"manifest not found: {manifest_path}")
-    base = manifest_path.parent
-    required = {"depth_path", "intensity_path", "user", "letter"}
+    path = Path(path)
+    if not path.exists():
+        raise MissingFileError(f"{what} not found: {path}")
+    required = {"user", "letter", *columns}
     try:
-        with open(manifest_path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             fieldnames = reader.fieldnames
             records = list(reader)
     except (csv.Error, UnicodeDecodeError) as exc:
-        raise FormatError(f"{manifest_path}: unreadable manifest: {exc}") from exc
+        raise FormatError(f"{path}: unreadable {what}: {exc}") from exc
     if fieldnames is None or not required.issubset(fieldnames):
-        raise FormatError(f"{manifest_path}: manifest header must contain {sorted(required)}")
+        raise FormatError(f"{path}: {what} header must contain {sorted(required)}")
+    for lineno, rec in enumerate(records, start=2):
+        where = f"{path}:{lineno}"
+        if any(rec[key] is None for key in required):
+            raise FormatError(f"{where}: row has fewer fields than the header")
+        rec["user"], rec["letter"] = rec["user"].strip(), rec["letter"].strip()
+        if rec["letter"] not in STATIC_LETTERS:
+            raise UnknownLetterError(f"{where}: letter {rec['letter']!r} is not a static alphabet letter")
+        yield where, rec
 
+
+def load_dataset(manifest_path) -> list:
+    """Read every manifest row (:func:`read_rows`) into a validated :class:`Sample` list.
+
+    Errors carry the offending row: besides the row checks of
+    :func:`read_rows`, missing or unreadable files, bad PGMs and duplicate
+    paths.  Sample order follows manifest row order.
+    """
+    base = Path(manifest_path).parent
     samples = []
     seen_paths = set()
-    for lineno, rec in enumerate(records, start=2):
-        row = f"{manifest_path}:{lineno}"
-        if any(rec[key] is None for key in required):
-            raise FormatError(f"{row}: row has fewer fields than the header")
-        letter = rec["letter"].strip()
-        if letter not in STATIC_LETTERS:
-            raise UnknownLetterError(f"{row}: letter {letter!r} is not a static alphabet letter")
+    for row, rec in read_rows(manifest_path, "manifest", ("depth_path", "intensity_path")):
         pair = []
         for key in ("depth_path", "intensity_path"):
             rel = rec[key].strip()
@@ -118,14 +131,7 @@ def load_dataset(manifest_path) -> list:
                 raise MissingFileError(f"{row}: cannot read {p}: {exc}") from exc
         depth, intensity = pair
         check_pair(depth, intensity, row)
-        samples.append(
-            Sample(
-                user_id=rec["user"].strip(),
-                letter=letter,
-                depth=depth.astype(np.int32),
-                intensity=intensity,
-            )
-        )
+        samples.append(Sample(rec["user"], rec["letter"], depth.astype(np.int32), intensity))
     return samples
 
 
@@ -141,78 +147,39 @@ def dataset_counts(samples) -> dict:
 # ---------------------------------------------------------------------------
 # splits
 
-def _strata(samples):
+def split_dataset(samples, spec: SplitSpec):
+    """``(train, valid, test)``: a seeded, stratified split of ``samples`` by ``spec.mode``.
+
+    ``allseen`` keeps every user in every set: test and validation each
+    take a quarter (rounded half-up) of every (user, letter) stratum and
+    train the rest, remainders included, so every share stays within one
+    sample of its exact fraction.  ``unseen`` holds one signer out: the
+    test set is exactly ``spec.test_user``'s samples, shuffled first, and a
+    tenth (rounded half-up) of every remaining stratum goes to validation.
+    Strata are shuffled in sorted (user, letter) order, each cut into
+    ``[test | valid | train]``; the partition is deterministic.
+    """
+    rng = np.random.default_rng(spec.rng_seed)
+    test, valid, train = [], [], []
+    if spec.mode == "unseen":
+        users = {s.user_id for s in samples}
+        if spec.test_user not in users:
+            raise UnknownUserError(f"test user {spec.test_user!r} not in dataset (users: {sorted(users)})")
+        held_out = [i for i, s in enumerate(samples) if s.user_id == spec.test_user]
+        test = [held_out[j] for j in rng.permutation(len(held_out))]
     groups: dict = {}
     for i, s in enumerate(samples):
-        groups.setdefault((s.user_id, s.letter), []).append(i)
-    return groups
-
-
-def split_allseen(samples, spec: SplitSpec):
-    """Stratified 1/2 : 1/4 : 1/4 split; every user in every set.
-
-    Within each (user, letter) stratum the samples are shuffled with the
-    seeded generator; test and validation each take a quarter (rounded
-    half-up), the rest (remainders included) goes to train.  Every share
-    stays within one sample of its exact fraction for any stratum size.
-    Deterministic partition.
-    """
-    if spec.mode != "allseen":
-        raise ValueError("split_allseen requires an allseen SplitSpec")
-    rng = np.random.default_rng(spec.rng_seed)
-    train, valid, test = [], [], []
-    groups = _strata(samples)
+        if s.user_id != spec.test_user:
+            groups.setdefault((s.user_id, s.letter), []).append(i)
     for key in sorted(groups):
-        idx = np.array(groups[key])
-        idx = idx[rng.permutation(len(idx))]
-        quarter = int(len(idx) / 4 + 0.5)
-        test.extend(int(i) for i in idx[:quarter])
-        valid.extend(int(i) for i in idx[quarter : 2 * quarter])
-        train.extend(int(i) for i in idx[2 * quarter :])
-    return (
-        [samples[i] for i in train],
-        [samples[i] for i in valid],
-        [samples[i] for i in test],
-    )
-
-
-def split_unseen(samples, spec: SplitSpec):
-    """Leave-one-signer-out split: the test set is exactly one user.
-
-    The held-out user's samples are shuffled into the test set; a tenth of
-    each remaining (user, letter) stratum (rounded half-up) goes to
-    validation, the rest to train.
-    """
-    if spec.mode != "unseen":
-        raise ValueError("split_unseen requires an unseen SplitSpec")
-    users = {s.user_id for s in samples}
-    if spec.test_user not in users:
-        raise UnknownUserError(f"test user {spec.test_user!r} not in dataset (users: {sorted(users)})")
-    rng = np.random.default_rng(spec.rng_seed)
-
-    test_idx = [i for i, s in enumerate(samples) if s.user_id == spec.test_user]
-    test_idx = [test_idx[j] for j in rng.permutation(len(test_idx))]
-
-    rest = [(i, s) for i, s in enumerate(samples) if s.user_id != spec.test_user]
-    groups: dict = {}
-    for i, s in rest:
-        groups.setdefault((s.user_id, s.letter), []).append(i)
-    train, valid = [], []
-    for key in sorted(groups):
-        idx = np.array(groups[key])
-        idx = idx[rng.permutation(len(idx))]
-        n_valid = int(len(idx) * 0.1 + 0.5)
-        valid.extend(int(i) for i in idx[:n_valid])
-        train.extend(int(i) for i in idx[n_valid:])
-    return (
-        [samples[i] for i in train],
-        [samples[i] for i in valid],
-        [samples[i] for i in test_idx],
-    )
-
-
-def split_dataset(samples, spec: SplitSpec):
-    return split_allseen(samples, spec) if spec.mode == "allseen" else split_unseen(samples, spec)
+        idx = np.array(groups[key])[rng.permutation(len(groups[key]))]
+        n = len(idx)
+        q = int(n / 4 + 0.5)
+        lo, hi = (q, 2 * q) if spec.mode == "allseen" else (0, int(n * 0.1 + 0.5))
+        test.extend(idx[:lo])
+        valid.extend(idx[lo:hi])
+        train.extend(idx[hi:])
+    return tuple([samples[i] for i in part] for part in (train, valid, test))
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,8 @@ def _model_layout(header):
     labels = header["class_labels"]
     if not isinstance(labels, list) or not all(isinstance(c, str) for c in labels):
         raise TypeError("class_labels must be a list of strings")
+    if not labels or len(set(labels)) != len(labels):
+        raise ValueError(f"class_labels must be non-empty and distinct, got {labels}")
     for (_, nh), (nv2, _) in zip(layers, layers[1:]):
         if nh != nv2:
             raise ValueError("header layer sizes do not chain")

@@ -178,14 +178,6 @@ class FilterBankConfig:
         check_fields(self, "finite", "gabor_orientations", "bar_orientations")
         check_fields(self, "an integer >= 1", "gabor_kernel_size", "gabor_out_size", "bar_kernel_size", "bar_out_size")
 
-    @property
-    def gabor_dim(self) -> int:
-        return 2 * 16 * self.gabor_out_size ** 2
-
-    @property
-    def bar_dim(self) -> int:
-        return 2 * 3 * self.bar_out_size ** 2
-
 
 def gabor_kernel(wavelength: float, theta: float, size: int = 31, sigma_ratio: float = 0.5) -> np.ndarray:
     """Even-symmetric Gabor kernel: Gaussian envelope times a cosine carrier.
@@ -328,8 +320,8 @@ def feature_dim(kind: str, filter_bank: FilterBankConfig = FilterBankConfig()) -
     dims = {
         "combined": COMBINED_DIM,
         "raw": RAW_DIM,
-        "gabor": filter_bank.gabor_dim,
-        "bar": filter_bank.bar_dim,
+        "gabor": 2 * 16 * filter_bank.gabor_out_size ** 2,   # 16 Gabor filters on each image
+        "bar": 2 * 3 * filter_bank.bar_out_size ** 2,        # 3 bar kernels on each image
     }
     if kind not in dims:
         raise ValueError(f"unknown feature kind {kind!r}")

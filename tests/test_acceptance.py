@@ -16,7 +16,7 @@ import pytest
 
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.cli import main
-from fingerspell.dataset import Sample, SplitSpec, split_allseen, split_unseen
+from fingerspell.dataset import Sample, SplitSpec, split_dataset
 from fingerspell.dbn import (
     Dbn,
     StageConfig,
@@ -316,7 +316,7 @@ def test_criterion_09_split_properties():
     for _ in range(400):
         samples = _fake_samples(rng)
         spec = SplitSpec(mode="allseen", rng_seed=int(rng.integers(0, 2**31)))
-        train, valid, test = split_allseen(samples, spec)
+        train, valid, test = split_dataset(samples, spec)
         ids = lambda part: {id(s) for s in part}
         assert ids(train) | ids(valid) | ids(test) == ids(samples)
         assert len(train) + len(valid) + len(test) == len(samples)
@@ -336,7 +336,7 @@ def test_criterion_09_split_properties():
         samples = _fake_samples(rng)
         user = f"u{int(rng.integers(0, 5)):02d}"
         spec = SplitSpec(mode="unseen", test_user=user, rng_seed=int(rng.integers(0, 2**31)))
-        train, valid, test = split_unseen(samples, spec)
+        train, valid, test = split_dataset(samples, spec)
         assert {s.user_id for s in test} == {user}
         assert user not in {s.user_id for s in train} | {s.user_id for s in valid}
         trials += 1
@@ -347,7 +347,7 @@ def test_criterion_09_split_properties():
         seen = []
         for u in range(5):
             spec = SplitSpec(mode="unseen", test_user=f"u{u:02d}", rng_seed=seed)
-            _, _, test = split_unseen(samples, spec)
+            _, _, test = split_dataset(samples, spec)
             seen.extend(id(s) for s in test)
         assert sorted(seen) == sorted(id(s) for s in samples)
         trials += 1

@@ -15,7 +15,7 @@ import fingerspell
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.cli import _load_config_with_overrides, build_parser, main
 from fingerspell.config import config_to_dict, load_config
-from fingerspell.dbn import load_model, save_model
+from fingerspell.dbn import Dbn, load_model, save_model
 from fingerspell.dataset import load_dataset
 from fingerspell.errors import ConfigError
 from fingerspell.features import extract_features, read_features, write_features
@@ -266,6 +266,22 @@ class TestEval:
         assert "'letter'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case", ["not_utf8", "short_row", "unknown_letter"])
+    def test_bad_labels_row_exits_3(self, workspace, tmp_path, capsys, command, case):
+        # these used to end in a UnicodeDecodeError or TypeError traceback (exit 1), or to be scored silently
+        cfg = copy_workspace(workspace, tmp_path)
+        labels = tmp_path / "out" / "labels.csv"
+        lines = labels.read_bytes().split(b"\n")
+        lines[1] = {"not_utf8": b"u00,\xe9", "short_row": b"u00", "unknown_letter": b"u00,ZZ"}[case]
+        labels.write_bytes(b"\n".join(lines))
+        model = (tmp_path / "out" / "model.hsdbn").read_bytes()
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(labels) in err and "Traceback" not in err
+        assert (tmp_path / "out" / "model.hsdbn").read_bytes() == model
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
     def test_test_user_without_unseen_split_exits_2(self, workspace, tmp_path, capsys, command):
         # train used to fit the allseen split and eval to label its report "unseen:u01"
         cfg = copy_workspace(workspace, tmp_path)
@@ -339,6 +355,23 @@ class TestPredict:
         assert main(["predict", "--config", str(cfg), "--model", str(bad), str(depth), str(intensity)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("class_labels", [(), ("A", "A")])
+    def test_empty_or_repeated_class_labels_exit_3(self, workspace, tmp_path, capsys, command, class_labels):
+        # an empty list used to end in a ValueError traceback; a repeated one made two classes print alike
+        cfg = copy_workspace(workspace, tmp_path)
+        net = load_model(tmp_path / "out" / "model.hsdbn")
+        k = len(class_labels)
+        save_model(Dbn(net.rbm_layers, net.translation_w[:, :k], net.translation_b[:k], class_labels),
+                   tmp_path / "out" / "model.hsdbn")
+        depth = next((workspace[0] / "data" / "images").glob("*_depth.pgm"))
+        intensity = Path(str(depth).replace("_depth", "_intensity"))
+        argv = [command, "--config", str(cfg)] + ([str(depth), str(intensity)] if command == "predict" else [])
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "non-empty and distinct" in captured.err and "Traceback" not in captured.err
+        assert "predicted" not in captured.out and not (tmp_path / "out" / "report.json").exists()
 
     def test_nan_model_exits_4_without_prediction(self, workspace, tmp_path, capsys):
         ws_path, cfg = workspace

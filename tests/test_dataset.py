@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fingerspell.alphabet import STATIC_LETTERS
+from fingerspell.cli import FeatureRow
 from fingerspell.dataset import (
     Sample,
     SplitSpec,
     dataset_counts,
     gen_synthetic,
     load_dataset,
-    split_allseen,
+    read_rows,
     split_dataset,
-    split_unseen,
     write_dataset,
 )
 from fingerspell.errors import (
@@ -185,31 +185,31 @@ def fake_samples(n_users=5, per_class=4, letters=STATIC_LETTERS):
 class TestSplitAllseen:
     def test_stratum_of_four(self):
         samples = fake_samples(1, 4, letters=("A",))
-        train, valid, test = split_allseen(samples, SplitSpec(rng_seed=0))
+        train, valid, test = split_dataset(samples, SplitSpec(rng_seed=0))
         assert (len(train), len(valid), len(test)) == (2, 1, 1)
 
     def test_stratum_of_five_remainder_to_train(self):
         samples = fake_samples(1, 5, letters=("A",))
-        train, valid, test = split_allseen(samples, SplitSpec(rng_seed=0))
+        train, valid, test = split_dataset(samples, SplitSpec(rng_seed=0))
         assert (len(train), len(valid), len(test)) == (3, 1, 1)
 
     def test_partition(self):
         samples = fake_samples(3, 5, letters=("A", "B", "C"))
-        train, valid, test = split_allseen(samples, SplitSpec(rng_seed=1))
+        train, valid, test = split_dataset(samples, SplitSpec(rng_seed=1))
         ids = lambda part: {id(s) for s in part}
         assert ids(train) | ids(valid) | ids(test) == ids(samples)
         assert not (ids(train) & ids(valid)) and not (ids(train) & ids(test)) and not (ids(valid) & ids(test))
 
     def test_every_user_in_every_set(self):
         samples = fake_samples(5, 4, letters=("A", "B"))
-        train, valid, test = split_allseen(samples, SplitSpec(rng_seed=2))
+        train, valid, test = split_dataset(samples, SplitSpec(rng_seed=2))
         for part in (train, valid, test):
             assert {s.user_id for s in part} == {f"u{u:02d}" for u in range(5)}
 
     def test_deterministic(self):
         samples = fake_samples(2, 6, letters=("A", "B"))
-        a = split_allseen(samples, SplitSpec(rng_seed=9))
-        b = split_allseen(samples, SplitSpec(rng_seed=9))
+        a = split_dataset(samples, SplitSpec(rng_seed=9))
+        b = split_dataset(samples, SplitSpec(rng_seed=9))
         assert [[id(s) for s in p] for p in a] == [[id(s) for s in p] for p in b]
 
 
@@ -217,7 +217,7 @@ class TestSplitUnseen:
     def test_test_user_isolated(self):
         samples = fake_samples(5, 4, letters=("A", "B"))
         spec = SplitSpec(mode="unseen", test_user="u02", rng_seed=0)
-        train, valid, test = split_unseen(samples, spec)
+        train, valid, test = split_dataset(samples, spec)
         assert {s.user_id for s in test} == {"u02"}
         assert "u02" not in {s.user_id for s in train} | {s.user_id for s in valid}
         assert len(test) == 2 * 4
@@ -225,7 +225,7 @@ class TestSplitUnseen:
     def test_validation_is_about_a_tenth(self):
         samples = fake_samples(5, 10, letters=STATIC_LETTERS[:6])
         spec = SplitSpec(mode="unseen", test_user="u00", rng_seed=1)
-        train, valid, test = split_unseen(samples, spec)
+        train, valid, test = split_dataset(samples, spec)
         non_test = len(train) + len(valid)
         assert abs(len(valid) - round(0.1 * non_test)) <= 4 * 6  # strata rounding slack
 
@@ -234,19 +234,16 @@ class TestSplitUnseen:
         seen = []
         for u in range(5):
             spec = SplitSpec(mode="unseen", test_user=f"u{u:02d}", rng_seed=2)
-            _, _, test = split_unseen(samples, spec)
+            _, _, test = split_dataset(samples, spec)
             seen.extend(id(s) for s in test)
         assert sorted(seen) == sorted(id(s) for s in samples)
 
     def test_unknown_user(self):
         samples = fake_samples(2, 2, letters=("A",))
         with pytest.raises(UnknownUserError):
-            split_unseen(samples, SplitSpec(mode="unseen", test_user="nobody"))
+            split_dataset(samples, SplitSpec(mode="unseen", test_user="nobody"))
 
     def test_mode_guard(self):
-        samples = fake_samples(2, 2, letters=("A",))
-        with pytest.raises(ValueError):
-            split_unseen(samples, SplitSpec(mode="allseen"))
         with pytest.raises(ValueError):
             SplitSpec(mode="bogus")
 
@@ -293,6 +290,38 @@ class TestSplitDatasetDispatch:
         t1 = split_dataset(samples, SplitSpec(mode="allseen", rng_seed=0))
         t2 = split_dataset(samples, SplitSpec(mode="unseen", test_user="u00", rng_seed=0))
         assert len(t1[2]) == 2 and {s.user_id for s in t2[2]} == {"u00"}
+
+
+class TestSplitPinned:
+    """The exact partitions, in order, for one seed: recorded before both modes shared one stratum loop."""
+
+    @staticmethod
+    def rows():
+        # strata of 1, 2, 3, 5, 6, 7, 9 and again 1, 2 samples, so every rounding case is cut
+        sizes = [1, 2, 3, 5, 6, 7, 9]
+        rows = []
+        for u in range(3):
+            for k, letter in enumerate("ABC"):
+                for _ in range(sizes[(3 * u + k) % 7]):
+                    rows.append(FeatureRow(f"u{u}", letter, len(rows)))
+        return rows
+
+    def parts(self, spec):
+        return [[r.index for r in part] for part in split_dataset(self.rows(), spec)]
+
+    def test_allseen(self):
+        assert self.parts(SplitSpec(rng_seed=11)) == [
+            [0, 3, 10, 6, 8, 15, 11, 18, 21, 23, 29, 31, 27, 30, 24, 33],
+            [1, 4, 7, 12, 14, 22, 17, 32, 28, 34],
+            [2, 5, 9, 16, 13, 19, 20, 25, 26, 35],
+        ]
+
+    def test_unseen(self):
+        assert self.parts(SplitSpec(mode="unseen", test_user="u0", rng_seed=11)) == [
+            [9, 10, 7, 6, 14, 11, 12, 15, 16, 19, 18, 23, 20, 17, 21, 29, 28, 32, 26, 25, 24, 31, 27, 33, 35, 34],
+            [8, 13, 22, 30],
+            [3, 1, 4, 5, 2, 0],
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +417,32 @@ def test_fuzz_mutated_manifest(manifest_dir, data):
         raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=8)) + raw[at:]
     (d / "manifest.csv").write_bytes(raw)
     loads_or_package_error(load_dataset, d / "manifest.csv")
+
+
+@pytest.fixture(scope="module")
+def labels_file(tmp_path_factory):
+    """One labels file that every labels fuzz example overwrites."""
+    return tmp_path_factory.mktemp("labels_fuzz") / "labels.csv"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzz_mutated_labels(labels_file, data):
+    rows = [["user", "letter"], ["u00", "A"], ["u00", "B"], ["u01", "C"]]
+    action = data.draw(st.sampled_from(["cell", "drop_field", "duplicate_row", "truncate", "insert_bytes"]))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[i]) - 1))
+    if action == "cell":
+        rows[i][j] = data.draw(st.one_of(st.text(max_size=12), st.sampled_from(["", " A ", "ZZ", '"', "letter"])))
+    elif action == "drop_field":
+        del rows[i][j]
+    elif action == "duplicate_row":
+        rows.insert(i, list(rows[i]))
+    raw = "\n".join(",".join(r) for r in rows).encode("utf-8") + b"\n"
+    if action == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw)))]
+    elif action == "insert_bytes":
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + data.draw(st.binary(min_size=1, max_size=8)) + raw[at:]
+    labels_file.write_bytes(raw)
+    loads_or_package_error(lambda p: list(read_rows(p, "labels file")), labels_file)
