@@ -195,16 +195,23 @@ def cross_entropy_loss(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray) -> float:
     return _mean_nll(dbn.scores(np.atleast_2d(x)), y_idx)
 
 
-def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray, w_out=None):
+def _row_blocks(left, right):
+    """``left @ right`` as a block function ``(start, stop, out, tmp)`` of its rows."""
+    return lambda start, stop, out, tmp: np.matmul(left[start:stop], right, out=out)
+
+
+def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray):
     """Gradients of the mean cross-entropy w.r.t. every network parameter.
 
     Returns ``(rbm_w_grads, rbm_hb_grads, trans_w_grad, trans_b_grad, loss)``;
     visible biases take no part in the feed-forward pass.  ``loss`` is the
     value :func:`cross_entropy_loss` gives on the same batch, and
     non-finite class scores raise :class:`NumericError` as they do there.
-    ``w_out``, one array shaped like each RBM weight matrix, receives the
-    RBM weight gradients (which are then those arrays), so a training loop
-    does not allocate them anew for every batch.
+    Each RBM weight gradient ``activations[k].T @ dz`` is a block function
+    ``grad(start, stop, out, tmp)`` writing its rows ``start:stop`` into
+    ``out``, the form :func:`param_step` takes, so the whole matrix is
+    never built.  The function reads only arrays made here, so it can run
+    on any thread, after the parameters have changed.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b = x.shape[0]
@@ -224,7 +231,7 @@ def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray, w_out=None):
     for k in range(len(dbn.rbm_layers) - 1, -1, -1):
         a = activations[k + 1]
         dz = da * a * (1.0 - a)
-        rbm_w_grads[k] = np.matmul(activations[k].T, dz, out=None if w_out is None else w_out[k])
+        rbm_w_grads[k] = _row_blocks(activations[k].T, dz)
         rbm_hb_grads[k] = dz.sum(axis=0)
         if k > 0:  # the input itself takes no gradient
             da = dz @ dbn.rbm_layers[k].weights.T
@@ -283,17 +290,21 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
     this thread trains on the current batch; the draws, not the
     arithmetic, are the long part.  Only the helper draws from ``rng``, in
     the order a sequential loop would, so the parameters do not depend on
-    the timing.  The helper is joined before the stage returns or raises.
+    the timing.  The pool has a second thread for half of every weight
+    step (:func:`param_step`), so a half never waits behind the draws.
+    Both threads are joined before the stage returns or raises.  The RBM
+    parameters are checked once per epoch, before the validation loss; a
+    NaN that appears mid-epoch makes the next batch's class scores NaN, and
+    :func:`softmax` raises there.
     """
     (xt, yt), (xv, yv) = train, valid
     params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
     decay = [s.l2_coeff, None] * (len(params) // 2)
     velocity = [np.zeros_like(p) for p in params]
-    w_grads = [np.empty_like(r.weights) for r in net.rbm_layers]
     scratch = StepScratch()
     noise = np.empty((2, min(s.batch_size, xt.shape[0]), xt.shape[1])) if s.input_noise_sigma > 0 else None
     draws = _draws(xt.shape[0], s, rng, noise)
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with ThreadPoolExecutor(max_workers=2) as helper:
         ahead = helper.submit(next, draws, None)
         top_v = forward_all(frozen, xv)[-1]  # frozen layers give the same activations every epoch
         best_loss = cross_entropy_loss(net, top_v, yv)
@@ -309,14 +320,14 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
                     z *= s.input_noise_sigma
                     xb += z
                     np.clip(xb, 0.0, 1.0, out=xb)
-                rw, rb, gw, gb, loss = backprop_gradients(net, forward_all(frozen, xb)[-1], yt[idx], w_out=w_grads)
+                rw, rb, gw, gb, loss = backprop_gradients(net, forward_all(frozen, xb)[-1], yt[idx])
                 losses.append(loss)
                 grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
                 for p, v, g, l2 in zip(params, velocity, grads, decay):
-                    param_step(p, v, g, s.momentum, -s.learning_rate, l2=l2, scratch=scratch)
-                for rbm in net.rbm_layers:
-                    rbm.check_finite()
+                    param_step(p, v, g, s.momentum, -s.learning_rate, l2=l2, scratch=scratch, executor=helper)
 
+            for rbm in net.rbm_layers:
+                rbm.check_finite()
             if not np.all(np.isfinite(net.translation_w)):
                 raise NumericError("non-finite translation weights")
             val_loss = cross_entropy_loss(net, top_v, yv)

@@ -9,7 +9,7 @@ decay is applied to the weights only, never to the biases.
 time, for CD-1 and for the supervised stages alike.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,19 +44,23 @@ BLOCK_ROWS = 256  # rows per block of param_step; 64 to 512 time the same
 
 
 class StepScratch:
-    """Two block-sized work buffers for :func:`param_step`, owned by one training call."""
+    """Block-sized work buffers for :func:`param_step`, owned by one training call.
+
+    One pair of buffers for each half of a split step, so the two halves
+    never share a buffer.
+    """
 
     def __init__(self):
-        self._flat = (np.empty(0), np.empty(0))
+        self._flat = [(np.empty(0), np.empty(0))] * 2
 
-    def pair(self, shape):
+    def pair(self, shape, half=0):
         n = shape[0] * shape[1]
-        if self._flat[0].size < n:
-            self._flat = (np.empty(n), np.empty(n))
-        return tuple(f[:n].reshape(shape) for f in self._flat)
+        if self._flat[half][0].size < n:
+            self._flat[half] = (np.empty(n), np.empty(n))
+        return tuple(f[:n].reshape(shape) for f in self._flat[half])
 
 
-def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, scratch=None) -> None:
+def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, scratch=None, executor=None) -> None:
     """``velocity = momentum*velocity + rate*(grad + l2*param + l1*sign(param)); param += velocity``.
 
     Runs in place over ``BLOCK_ROWS`` rows of ``param`` at a time (a vector
@@ -68,26 +72,52 @@ def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, scratch=
     decayed, and adding ``0*param`` could turn a ``-0.0`` into ``0.0``.
     CD-1 climbs its gradient (``rate > 0``, negative decay coefficients);
     the supervised stages descend (``rate < 0``).
+
+    With an ``executor``, a ``param`` of two or more blocks is split: the
+    upper half of the blocks runs there, on the scratch's second pair of
+    buffers, while the caller runs the lower half.  The halves write
+    disjoint rows with the same calls, so the bytes do not depend on the
+    split or its timing.  The call returns once both halves have ended and
+    then raises an exception from either.  ``grad`` must be safe to call
+    from another thread.
     """
     scratch = StepScratch() if scratch is None else scratch
     rows = lambda a: a if a.ndim == 2 else a[np.newaxis]
     p, v = rows(param), rows(velocity)
-    for start in range(0, p.shape[0], BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, p.shape[0])
-        out, tmp = scratch.pair((stop - start, p.shape[1]))
-        g = grad(start, stop, out, tmp) if callable(grad) else rows(grad)[start:stop]
-        pb, vb = p[start:stop], v[start:stop]
-        if l2 is not None:
-            np.multiply(pb, l2, out=tmp)
-            g = np.add(g, tmp, out=out)
-        if l1 is not None:
-            np.sign(pb, out=tmp)
-            tmp *= l1
-            g = np.add(g, tmp, out=out)
-        np.multiply(g, rate, out=out)
-        vb *= momentum
-        vb += out
-        pb += vb
+    n = p.shape[0]
+    # a lone last row joins the block before it: numpy takes a one-row matrix
+    # product as a matrix-vector product, which sums in another order than
+    # the whole-array product that a block gradient must match
+    starts = [start for start in range(0, n, BLOCK_ROWS) if start == 0 or n - start > 1]
+    blocks = list(zip(starts, starts[1:] + [n]))
+
+    def steps(half, part):
+        for start, stop in part:
+            out, tmp = scratch.pair((stop - start, p.shape[1]), half)
+            g = grad(start, stop, out, tmp) if callable(grad) else rows(grad)[start:stop]
+            pb, vb = p[start:stop], v[start:stop]
+            if l2 is not None:
+                np.multiply(pb, l2, out=tmp)
+                g = np.add(g, tmp, out=out)
+            if l1 is not None:
+                np.sign(pb, out=tmp)
+                tmp *= l1
+                g = np.add(g, tmp, out=out)
+            np.multiply(g, rate, out=out)
+            vb *= momentum
+            vb += out
+            pb += vb
+
+    if executor is None or len(blocks) < 2:
+        steps(0, blocks)
+        return
+    mid = (len(blocks) + 1) // 2
+    upper = executor.submit(steps, 1, blocks[mid:])
+    try:
+        steps(0, blocks[:mid])
+    finally:
+        wait((upper,))
+    upper.result()
 
 
 @dataclass
@@ -131,14 +161,18 @@ class Rbm:
         v = np.asarray(v, dtype=np.float64)
         if v.shape[-1] != self.n_visible:
             raise DimensionMismatchError(f"visible vector length {v.shape[-1]} != {self.n_visible}")
-        return sigmoid(v @ self.weights + self.hidden_bias)
+        out = v @ self.weights
+        out += self.hidden_bias
+        return sigmoid(out, out=out)
 
     def visible_probabilities(self, h: np.ndarray) -> np.ndarray:
         """P(v=1 | h) = sigmoid(h W^T + visible_bias)."""
         h = np.asarray(h, dtype=np.float64)
         if h.shape[-1] != self.n_hidden:
             raise DimensionMismatchError(f"hidden vector length {h.shape[-1]} != {self.n_hidden}")
-        return sigmoid(h @ self.weights.T + self.visible_bias)
+        out = h @ self.weights.T
+        out += self.visible_bias
+        return sigmoid(out, out=out)
 
     @property
     def params(self) -> tuple:
@@ -158,11 +192,13 @@ class Rbm:
         state: CdState,
         rng: np.random.Generator,
         momentum: float | None = None,
+        executor=None,
     ) -> None:
         """One CD-1 parameter update from a (B, n_visible) batch, in place.
 
         ``momentum`` overrides ``cfg.momentum`` (used for the early-epoch
         schedule).  Draws a single (B, n_hidden) uniform block from ``rng``.
+        ``executor`` runs half of the weight step (see :func:`param_step`).
         """
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
         if batch.shape[1] != self.n_visible:
@@ -182,7 +218,8 @@ class Rbm:
             return out
 
         lr, sc = cfg.learning_rate, state.scratch
-        param_step(self.weights, state.d_weights, dw, mom, lr, l2=-cfg.l2_coeff, l1=-cfg.l1_coeff, scratch=sc)
+        param_step(self.weights, state.d_weights, dw, mom, lr, l2=-cfg.l2_coeff, l1=-cfg.l1_coeff, scratch=sc,
+                   executor=executor)
         param_step(self.visible_bias, state.d_visible_bias, (batch - v1).mean(axis=0), mom, lr, scratch=sc)
         param_step(self.hidden_bias, state.d_hidden_bias, (h0 - h1).mean(axis=0), mom, lr, scratch=sc)
 
@@ -234,7 +271,9 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int | None = None
     rule applied; a stop returns the snapshot and discards the epoch
     trained meanwhile.  The generator is private to the call, so the
     parameters and the ``on_epoch`` calls are those of a sequential loop.
-    The helper is joined before the call returns or raises.
+    The pool has a second thread for half of every weight step
+    (:func:`param_step`), so a half never waits behind the error.  Both
+    threads are joined before the call returns or raises.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
@@ -267,13 +306,14 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int | None = None
         return False
 
     pending = None  # the previous epoch's error, being computed on the helper
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with ThreadPoolExecutor(max_workers=2) as helper:
         for epoch in range(cfg.epochs):
             mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
             try:
                 order = rng.permutation(data.shape[0])
                 for start in range(0, data.shape[0], cfg.batch_size):
-                    rbm.cd1_update(data[order[start : start + cfg.batch_size]], cfg, state, rng, momentum=mom)
+                    batch = data[order[start : start + cfg.batch_size]]
+                    rbm.cd1_update(batch, cfg, state, rng, momentum=mom, executor=helper)
                 rbm.check_finite()
             except Exception:
                 # a sequential loop would have settled the previous epoch first

@@ -28,7 +28,7 @@ from fingerspell.errors import (
     LabelOutOfRangeError,
     NumericError,
 )
-from fingerspell.rbm import Rbm, RbmTrainConfig, train_rbm
+from fingerspell.rbm import BLOCK_ROWS, Rbm, RbmTrainConfig, train_rbm
 
 
 def toy_dbn(layer_dims=(6, 4, 3), n_classes=24, seed=0, scale=0.8):
@@ -173,6 +173,8 @@ class TestGradients:
         x = rng.random((7, 6))
         y = rng.integers(0, 24, 7)
         rw, rb, gw_t, gb_t, _ = backprop_gradients(net, x, y)
+        # each weight gradient comes as a block function; take all its rows as one block
+        rw = [g(0, r.n_visible, np.empty_like(r.weights), np.empty_like(r.weights)) for g, r in zip(rw, net.rbm_layers)]
 
         eps = 1e-4
 
@@ -349,40 +351,33 @@ class TestStage3:
         acc = np.mean([p == t for p, t in zip(preds, valid[1])])
         assert acc > 0.9
 
-    def test_gradients_into_caller_buffers_match_fresh_arrays(self):
-        net = toy_dbn((6, 4, 3), 24, seed=44)
-        rng = np.random.default_rng(45)
-        x, y = rng.random((9, 6)), rng.integers(0, 24, 9)
-        buffers = [np.full_like(r.weights, np.nan) for r in net.rbm_layers]
-        into = backprop_gradients(net, x, y, w_out=buffers)
-        fresh = backprop_gradients(net, x, y)
-        assert all(g is b for g, b in zip(into[0], buffers))
-        assert [g.tobytes() for g in into[0]] == [g.tobytes() for g in fresh[0]]
-
-    @pytest.mark.parametrize("rows", (5, 256, 259))
-    def test_parameters_match_whole_array_gradient_form(self, rows, monkeypatch, models_equal):
-        # the stage writes each batch's weight gradients into buffers it owns;
-        # the reference run lets backprop_gradients allocate them every batch
-        import fingerspell.dbn as dbn_mod
-
+    @pytest.mark.parametrize("rows", (5, 256, 259, 600))
+    def test_weight_gradient_blocks_match_whole_product(self, rows):
+        # stage 3 builds each weight gradient a block of rows at a time inside the step
         rng = np.random.default_rng(300 + rows)
         net = toy_dbn((rows, 7, 5), 24, seed=rows, scale=0.1)
-        data = (rng.random((40, rows)), [STATIC_LETTERS[i % 24] for i in range(40)])
-        cfg = SupervisedTrainConfig(stage3=StageConfig(learning_rate=0.05, epochs=3, batch_size=16), rng_seed=rows)
-        whole = net.copy()
-        fine_tune(net, data, data, cfg)  # validating on the training rows, so the stage keeps its steps
-        assert not models_equal(net, whole)
+        x, y = rng.random((16, rows)), rng.integers(0, 24, 16)
+        activations = forward_all(net.rbm_layers, x)
+        dlogits = softmax(activations[-1] @ net.translation_w + net.translation_b)
+        dlogits[np.arange(16), y] -= 1.0
+        dlogits /= 16
+        da = dlogits @ net.translation_w.T
+        whole = [None, None]
+        for k in (1, 0):
+            a = activations[k + 1]
+            dz = da * a * (1.0 - a)
+            whole[k] = activations[k].T @ dz
+            da = dz @ net.rbm_layers[k].weights.T
 
-        original, calls = dbn_mod.backprop_gradients, []
-
-        def allocating(dbn, xb, yb, w_out=None):
-            calls.append(w_out is not None)
-            return original(dbn, xb, yb)
-
-        monkeypatch.setattr(dbn_mod, "backprop_gradients", allocating)
-        fine_tune(whole, data, data, cfg)
-        assert calls and all(calls)
-        assert models_equal(net, whole)
+        rw, *_ = backprop_gradients(net, x, y)
+        for r in net.rbm_layers:  # the blocks read only arrays of the backward pass
+            r.weights[:] = np.nan
+        for grad, expected in zip(rw, whole):
+            for start in range(0, expected.shape[0], BLOCK_ROWS):
+                stop = min(start + BLOCK_ROWS, expected.shape[0])
+                out, tmp = (np.full((stop - start, expected.shape[1]), np.nan) for _ in range(2))
+                assert grad(start, stop, out, tmp) is out
+                assert out.tobytes() == expected[start:stop].tobytes()
 
     def test_stage3_rate_must_be_lower(self):
         with pytest.raises(ValueError):

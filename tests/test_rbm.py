@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -175,7 +180,8 @@ class TestCd1Update:
         assert np.allclose((r.weights - w0) / lr, grad, atol=1e-12)
 
 
-ROW_COUNTS = (5, BLOCK_ROWS, BLOCK_ROWS + 3)  # below one block, exactly one, one plus 3
+# below one block, exactly one, one plus a lone row (which joins the block), one plus 3
+ROW_COUNTS = (5, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 3)
 
 
 def step_inputs(rows, seed, cols=7):
@@ -246,6 +252,97 @@ class TestParamStep:
         vel_hb = 0.5 * 0.0 + cfg.learning_rate * (h0 - h1).mean(axis=0)
         assert bytes_of(r.weights, state.d_weights) == bytes_of(w0 + vel, vel)
         assert bytes_of(r.visible_bias, r.hidden_bias) == bytes_of(vb0 + vel_vb, hb0 + vel_hb)
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+def split_inputs(rows, seed, cols=7):
+    rng = np.random.default_rng(seed)
+    w, vel, grad = (rng.normal(0, s, (rows, cols)) for s in (0.1, 1e-3, 1e-2))
+    w[::89, 2] = 0.0  # sign(0) in the L1 term
+    vel[::97, 1] = grad[::97, 1] = -0.0  # -0.0 velocities in both halves of a split step
+    b, vel_b, grad_b = (rng.normal(0, s, cols) for s in (0.1, 1e-3, 1e-2))
+    vel_b[::2] = grad_b[::2] = -0.0  # with these, some bias velocities come out as -0.0
+    left, right = rng.random((rows, 12)), rng.normal(0, 1e-2, (12, cols))
+
+    def grad_blocks(start, stop, out, tmp):  # rows start:stop of left @ right, as CD-1 and stage 3 build them
+        return np.matmul(left[start:stop], right, out=out)
+
+    return w, vel, grad, grad_blocks, b, vel_b, grad_b
+
+
+class TestSplitStep:
+    """A step split between the caller and an executor gives the bytes of the unsplit step."""
+
+    @pytest.mark.parametrize("rows", (1, 255, 256, 257, 511, 512, 10240))
+    def test_split_step_matches_unsplit_step(self, rows):
+        for form in ("array", "callable"):
+            for rate, l2, l1 in ((0.1, -2e-4, -1e-5), (-0.01, 1e-4, None), (0.1, None, None), (-0.01, None, None)):
+                results = []
+                for executor in (None, CountingExecutor()):
+                    w, vel, grad, grad_blocks, b, vel_b, grad_b = split_inputs(rows, seed=rows)
+                    g = grad if form == "array" else grad_blocks
+                    scratch = StepScratch()
+                    param_step(w, vel, g, 0.9, rate, l2=l2, l1=l1, scratch=scratch, executor=executor)
+                    param_step(b, vel_b, grad_b, 0.9, rate, scratch=scratch, executor=executor)
+                    results.append(bytes_of(w, vel, b, vel_b))
+                    if executor is not None:
+                        executor.shutdown()
+                        # only a weight matrix of two or more blocks is split (a lone
+                        # last row joins its block); a bias is one row
+                        assert executor.submitted == (rows > BLOCK_ROWS + 1)
+                assert results[0] == results[1]
+
+    def test_split_step_repeats_under_frequent_thread_switches(self):
+        # at the first layer's size the two halves overlap, so a buffer they shared would show
+        w0, vel0, _, grad_blocks, *_ = split_inputs(10240, seed=3, cols=200)
+        w, vel = w0.copy(), vel0.copy()
+        param_step(w, vel, grad_blocks, 0.9, 0.1, l2=-2e-4, l1=-1e-5)
+        expected = bytes_of(w, vel)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                for _ in range(10):
+                    w, vel = w0.copy(), vel0.copy()
+                    param_step(w, vel, grad_blocks, 0.9, 0.1, l2=-2e-4, l1=-1e-5, scratch=StepScratch(),
+                               executor=executor)
+                    assert bytes_of(w, vel) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing_half", ["caller", "executor"])
+    def test_exception_comes_out_after_both_halves_end(self, failing_half):
+        # four blocks: the caller steps blocks 0 and 1, the executor blocks 2 and 3
+        fail_at = 0 if failing_half == "caller" else 2 * BLOCK_ROWS
+        done = []
+
+        def grad(start, stop, out, tmp):
+            if start == fail_at:
+                raise ValueError("gradient failed")
+            time.sleep(0.05)  # the half that does not fail is the slow one
+            done.append(start)
+            out[:] = 1.0
+            return out
+
+        w, vel = np.zeros((4 * BLOCK_ROWS, 3)), np.zeros((4 * BLOCK_ROWS, 3))
+        before = threading.active_count()
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            with pytest.raises(ValueError, match="gradient failed"):
+                param_step(w, vel, grad, 0.9, 0.1, executor=executor)
+            other_half = [2 * BLOCK_ROWS, 3 * BLOCK_ROWS] if failing_half == "caller" else [0, BLOCK_ROWS]
+            assert sorted(done) == other_half  # the other half had run to its end
+            assert np.all(w[other_half[0] : other_half[1] + BLOCK_ROWS] == 0.1)
+            assert not np.any(w[fail_at : fail_at + 2 * BLOCK_ROWS])  # the failing half stopped at its first block
+        assert threading.active_count() == before
 
 
 class TestReconstructionError:

@@ -4,7 +4,8 @@
 computed each epoch's full-data reconstruction error on the training
 thread, straight after the epoch, before training the next one.  It is
 kept here as the reference the overlapped loop must match byte for byte,
-in its parameters and in its ``on_epoch`` calls.  The other tests check
+in its parameters and in its ``on_epoch`` calls, also where each weight
+step is split between the calling thread and a helper.  The other tests check
 the in-place error against the whole-array expression, that the helper
 thread is gone when training returns or raises, and that only the
 calling thread trains, checks or reports.
@@ -108,6 +109,18 @@ def test_overlapped_loop_matches_sequential_loop(name):
     assert params_bytes(rbm) == params_bytes(ref)
     assert log == ref_log  # the same errors to the last bit, epoch by epoch
     assert len(log) == EPOCHS_REPORTED[name]
+
+
+def test_split_weight_step_matches_sequential_loop():
+    # 1100 visible units are five blocks of rows, so every CD-1 weight step is split
+    data = rows(n=60, width=1100, seed=4)
+    cfg = RbmTrainConfig(epochs=5, batch_size=20, momentum_switch_epoch=2, rng_seed=5)
+    rbm, log = run(train_rbm, cfg, data)
+    ref, ref_log = run(ref_train_rbm, cfg, data)
+    assert params_bytes(rbm) == params_bytes(ref)
+    assert log == ref_log
+    assert len(log) == 5
+    assert count_helper_threads(lambda: run(train_rbm, cfg, data)) == 0
 
 
 def test_pretrain_over_two_layers_matches_sequential_loop(monkeypatch):

@@ -3,9 +3,11 @@
 ``ref_run_stage`` below is the earlier, sequential ``dbn._run_stage``: it
 drew each epoch's permutation and each batch's noise on the training
 thread, just before using them.  It is kept here as the reference the
-pipelined stage must match byte for byte.  The other tests check that
-the stage's helper thread is gone when the stage returns or raises, and
-that only the calling thread runs the network.
+pipelined stage must match byte for byte, with each weight step split
+between the calling thread and a helper wherever a weight matrix has two
+or more blocks of rows.  The other tests check that the stage's helper
+threads are gone when the stage returns or raises, and that only the
+calling thread runs the network.
 """
 
 import threading
@@ -42,7 +44,6 @@ def ref_run_stage(net, frozen, train, valid, s, rng, on_epoch):
     params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
     decay = [s.l2_coeff, None] * (len(params) // 2)
     velocity = [np.zeros_like(p) for p in params]
-    w_grads = [np.empty_like(r.weights) for r in net.rbm_layers]
     scratch = StepScratch()
     noise = np.empty((min(s.batch_size, xt.shape[0]), xt.shape[1])) if s.input_noise_sigma > 0 else None
 
@@ -60,7 +61,7 @@ def ref_run_stage(net, frozen, train, valid, s, rng, on_epoch):
                 z *= s.input_noise_sigma
                 xb += z
                 np.clip(xb, 0.0, 1.0, out=xb)
-            rw, rb, gw, gb, loss = backprop_gradients(net, ref_top_activations(frozen, xb), yt[idx], w_out=w_grads)
+            rw, rb, gw, gb, loss = backprop_gradients(net, ref_top_activations(frozen, xb), yt[idx])
             losses.append(loss)
             grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
             for p, v, g, l2 in zip(params, velocity, grads, decay):
@@ -115,29 +116,35 @@ CASES = {
         fine_tune,
         StageConfig(learning_rate=0.05, epochs=5, batch_size=10, input_noise_sigma=0.1),
     ),
+    # 1100 visible units are five blocks of rows: the bottom weight step is split
+    "stage3_split_weight_step": (
+        fine_tune,
+        StageConfig(learning_rate=0.05, epochs=4, batch_size=10, input_noise_sigma=0.1),
+        (1100, 12, 8),
+    ),
 }
 
 
-def run_stage(stage, stage_cfg):
-    net = small_net()
+def run_stage(stage, stage_cfg, dims=(40, 12, 8)):
+    net = small_net(dims)
     log = []
     if stage is fine_tune:
         cfg = SupervisedTrainConfig(stage3=stage_cfg, rng_seed=8)
     else:
         cfg = SupervisedTrainConfig(stage2=stage_cfg, stage3=StageConfig(learning_rate=0.01), rng_seed=8)
-    stage(net, labeled(45, 40, seed=1), labeled(20, 40, seed=2), cfg, on_epoch=lambda *a: log.append(a))
+    stage(net, labeled(45, dims[0], seed=1), labeled(20, dims[0], seed=2), cfg, on_epoch=lambda *a: log.append(a))
     return net, log
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_pipelined_stage_matches_sequential_loop(name, monkeypatch, models_equal):
-    stage, stage_cfg = CASES[name]
-    net, log = run_stage(stage, stage_cfg)
+    _, stage_cfg, *dims = CASES[name]
+    net, log = run_stage(*CASES[name])
     monkeypatch.setattr(dbn_mod, "_run_stage", ref_run_stage)
-    ref_net, ref_log = run_stage(stage, stage_cfg)
+    ref_net, ref_log = run_stage(*CASES[name])
     assert models_equal(net, ref_net)
     assert log == ref_log  # the same losses to the last bit, epoch by epoch
-    assert not models_equal(net, small_net())  # the stage took steps
+    assert not models_equal(net, small_net(*dims))  # the stage took steps
     if name == "stage2_stops_on_patience":
         assert len(log) < stage_cfg.epochs
 
@@ -171,22 +178,26 @@ def test_helper_joined_when_stage_raises(stage):
 
 
 def test_helper_joined_when_a_batch_goes_non_finite(monkeypatch):
-    # raise from inside the batch loop, with the next batch already being drawn
-    calls = []
+    # a weight turns NaN before the 7th batch (the 2nd of epoch 2), so its class
+    # scores raise inside the batch loop, with the next batch already being drawn
+    original, calls = dbn_mod.backprop_gradients, []
 
-    def failing(rbm):
-        calls.append(rbm)
+    def poisoning(net, x, y):
+        calls.append(x)
         if len(calls) == 7:
-            raise NumericError("non-finite RBM parameters")
+            net.rbm_layers[0].weights[0, 0] = np.nan
+        return original(net, x, y)
 
-    monkeypatch.setattr(Rbm, "check_finite", failing)
+    monkeypatch.setattr(dbn_mod, "backprop_gradients", poisoning)
+    for name in ("stage3_no_frozen_layers", "stage3_split_weight_step"):
+        calls.clear()
 
-    def call():
-        with pytest.raises(NumericError):
-            run_stage(*CASES["stage3_no_frozen_layers"])
+        def call():
+            with pytest.raises(NumericError, match="non-finite class scores"):
+                run_stage(*CASES[name])
 
-    assert count_helper_threads(call) == 0
-    assert len(calls) == 7
+        assert count_helper_threads(call) == 0
+        assert len(calls) == 7
 
 
 def test_network_runs_only_on_the_calling_thread(monkeypatch):
@@ -204,7 +215,7 @@ def test_network_runs_only_on_the_calling_thread(monkeypatch):
     recording(dbn_mod, "backprop_gradients")
     recording(dbn_mod, "cross_entropy_loss")
     recording(Rbm, "check_finite")
-    for stage, stage_cfg in CASES.values():
-        run_stage(stage, stage_cfg)
+    for case in CASES.values():
+        run_stage(*case)
     names = ("backprop_gradients", "cross_entropy_loss", "check_finite")
     assert threads == {name: {threading.current_thread()} for name in names}
