@@ -82,7 +82,7 @@ def _load_features(cfg: RunConfig):
     kind, x = read_features(feat_path)
     if kind != cfg.feature_kind:
         raise ConfigError(f"feature file holds {kind!r} features, config wants {cfg.feature_kind!r}")
-    if x.shape[1] != feature_dim(cfg.feature_kind, cfg.filter_bank):
+    if x.shape[1] != feature_dim(cfg.feature_kind):
         raise ConfigError(f"feature dimension {x.shape[1]} does not match kind {cfg.feature_kind!r}")
     labels = ds.read_rows(label_path, "labels file")
     rows = [FeatureRow(rec["user"], rec["letter"], i) for i, (_, rec) in enumerate(labels)]
@@ -130,18 +130,16 @@ def cmd_gen_synthetic(cfg: RunConfig, n_users: int, per_class: int) -> int:
 
 def _extract(cfg: RunConfig, depth, intensity):
     pre = cfg.preprocessing
-    return extract_features(depth, intensity, cfg.feature_kind, t=pre.max_hand_depth_mm, n_layers=pre.n_layers,
-                            alignment=pre.alignment, filter_bank=cfg.filter_bank)
+    return extract_features(depth, intensity, cfg.feature_kind, t=pre.max_hand_depth_mm, alignment=pre.alignment)
 
 
 def cmd_extract(cfg: RunConfig) -> int:
     samples = ds.load_dataset(cfg.paths.manifest)
     if not samples:
-        print("manifest is empty; nothing to extract")
-        return EXIT_OK
+        raise EmptyDataError(f"manifest {cfg.paths.manifest} holds no samples")
     _print_users(samples, "loaded ")
     # rows go straight into the float32 matrix the feature file stores
-    matrix = np.empty((len(samples), feature_dim(cfg.feature_kind, cfg.filter_bank)), dtype=np.float32)
+    matrix = np.empty((len(samples), feature_dim(cfg.feature_kind)), dtype=np.float32)
     job, depths, intensities = partial(_extract, cfg), [s.depth for s in samples], [s.intensity for s in samples]
     with ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         vectors = map(job, depths, intensities) if pool is None else pool.map(job, depths, intensities, chunksize=16)
@@ -191,8 +189,11 @@ def _train_one_model(cfg: RunConfig, x, rows, split_spec):
 
 def cmd_train(cfg: RunConfig) -> int:
     x, rows = _load_features(cfg)
-    _echo_config(cfg)
     models = _models(cfg, rows, cfg.paths.model)
+    for _, model_path, _ in models:
+        if model_path.is_dir():
+            raise ConfigError(f"model path {model_path} is a directory")
+    _echo_config(cfg)
     if models[0][2]:  # one model per held-out user
         print(f"unseen split with no test user set: training {len(models)} hold-out models")
     sizes = "/".join(str(s) for s in cfg.layer_sizes)

@@ -1,20 +1,20 @@
 """Run configuration: one JSON file drives every CLI command.
 
 All hyperparameters default to the reference pipeline values (maximum
-hand depth 120 mm, 6 depth layers, layer sizes 1500/700/400, 60 CD-1
-epochs, 200 translation-layer epochs, fine-tune at a tenth of the rate).
+hand depth 120 mm, layer sizes 1500/700/400, 60 CD-1 epochs, 200
+translation-layer epochs, fine-tune at a tenth of the rate).
 Component RNG seeds can be pinned individually in the file; when absent
 they derive deterministically from the global ``rng_seed``, so ``--seed``
 reseeds the whole run.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from fingerspell.dataset import SplitSpec
 from fingerspell.dbn import DEFAULT_LAYER_SIZES, SupervisedTrainConfig
 from fingerspell.errors import ConfigError, check_fields
-from fingerspell.features import FEATURE_KINDS, FilterBankConfig
+from fingerspell.features import FEATURE_KINDS
 from fingerspell.imaging import DEFAULT_MAX_HAND_DEPTH_MM, MaskAlignment
 from fingerspell.rbm import RbmTrainConfig
 
@@ -32,12 +32,10 @@ class PathsConfig:
 @dataclass
 class PreprocessConfig:
     max_hand_depth_mm: int = DEFAULT_MAX_HAND_DEPTH_MM
-    n_layers: int = 6
     alignment: MaskAlignment = field(default_factory=MaskAlignment)
 
     def __post_init__(self):
         check_fields(self, "finite and positive", "max_hand_depth_mm")
-        check_fields(self, "an integer >= 1", "n_layers")
 
 
 @dataclass
@@ -45,7 +43,6 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     preprocessing: PreprocessConfig = field(default_factory=PreprocessConfig)
     feature_kind: str = "combined"
-    filter_bank: FilterBankConfig = field(default_factory=FilterBankConfig)
     layer_sizes: tuple = DEFAULT_LAYER_SIZES
     rbm: list = field(default_factory=list)          # one RbmTrainConfig per layer
     supervised: SupervisedTrainConfig = field(default_factory=SupervisedTrainConfig)
@@ -84,9 +81,15 @@ def _section(data: dict, key: str) -> dict:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from a (possibly partial) JSON object; absent fields take their defaults."""
+    """Build a RunConfig from a (possibly partial) JSON object; absent fields take their defaults.
+
+    A key that names no field, at the top level or in any section, raises :class:`ConfigError`.
+    """
     if not isinstance(data, dict):
         raise ConfigError("a config must be a JSON object")
+    unknown = data.keys() - {f.name for f in fields(RunConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(map(repr, unknown)))}")
     try:
         # checks the global seed before the component seeds derive from it
         cfg = RunConfig(rng_seed=data.get("rng_seed", RunConfig.rng_seed))
@@ -111,7 +114,6 @@ def config_from_dict(data: dict) -> RunConfig:
             paths=PathsConfig(**_section(data, "paths")),
             preprocessing=PreprocessConfig(**pre),
             feature_kind=data.get("feature_kind", cfg.feature_kind),
-            filter_bank=FilterBankConfig(**_section(data, "filter_bank")),
             layer_sizes=layer_sizes,
             rbm=[RbmTrainConfig(**entry) for entry in rbm],
             supervised=SupervisedTrainConfig(**supervised),

@@ -1,8 +1,8 @@
 """Feature vectors for hand-pose classification.
 
-The main extractor decomposes the preprocessed depth image into ``n``
-nested binary layers (2 cm slices of the hand by default), centers and
-downsamples each layer to 32x32 and concatenates them with a 64x64
+The main extractor decomposes the preprocessed depth image into 6 nested
+binary layers (2 cm slices of the hand at the default 120 mm cutoff),
+centers and downsamples each layer to 32x32 and concatenates them with a 64x64
 equalized intensity image into one flat vector:
 
 * intensity features: 4096 values in [0, 1]
@@ -14,14 +14,13 @@ bar filters) share the same preprocessed 128x128 inputs.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from fingerspell import container
-from fingerspell.errors import DimensionMismatchError, check_fields
+from fingerspell.errors import DimensionMismatchError
 from fingerspell.imaging import (
     DEFAULT_MAX_HAND_DEPTH_MM,
     MaskAlignment,
@@ -39,7 +38,7 @@ from fingerspell.imaging import (
     resize,
 )
 
-DEFAULT_N_LAYERS = 6
+N_LAYERS = 6
 PROCESSED_SIZE = 128
 
 INTENSITY_DIM = 4096
@@ -48,6 +47,17 @@ COMBINED_DIM = INTENSITY_DIM + DEPTH_DIM
 RAW_DIM = 2 * PROCESSED_SIZE * PROCESSED_SIZE
 
 FEATURE_KINDS = ("combined", "raw", "gabor", "bar")
+
+# the baseline filter banks: 4 scales x 4 orientations of Gabor kernels, and
+# 3 oriented bar kernels (horizontal, diagonal, vertical)
+GABOR_WAVELENGTHS = (4.0, 8.0, 12.0, 16.0)
+GABOR_ORIENTATIONS = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4)
+GABOR_KERNEL_SIZE = 31
+GABOR_SIGMA_RATIO = 0.5  # sigma = ratio * wavelength
+GABOR_OUT_SIZE = 28
+BAR_ORIENTATIONS = (0.0, np.pi / 4, np.pi / 2)
+BAR_KERNEL_SIZE = 9
+BAR_OUT_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +96,7 @@ def preprocess_pair(
 # ---------------------------------------------------------------------------
 # layered depth features
 
-def depth_layers(depth: np.ndarray, n: int = DEFAULT_N_LAYERS, t: int = DEFAULT_MAX_HAND_DEPTH_MM) -> np.ndarray:
+def depth_layers(depth: np.ndarray, n: int = N_LAYERS, t: int = DEFAULT_MAX_HAND_DEPTH_MM) -> np.ndarray:
     """Decompose a renormalized depth image into ``n`` nested binary layers.
 
     Layer ``l`` (1-based) marks pixels with ``0 < depth <= (l-1)*(t/n) + 1``:
@@ -154,32 +164,8 @@ def raw_features(depth: np.ndarray, intensity: np.ndarray, t: int = DEFAULT_MAX_
     return np.concatenate([fi, fd])
 
 
-@dataclass(frozen=True)
-class FilterBankConfig:
-    """Parameters of the Gabor and bar baseline filter banks."""
-
-    gabor_wavelengths: tuple = (4.0, 8.0, 12.0, 16.0)
-    gabor_orientations: tuple = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4)
-    gabor_kernel_size: int = 31
-    gabor_sigma_ratio: float = 0.5       # sigma = ratio * wavelength
-    gabor_out_size: int = 28
-    bar_orientations: tuple = (0.0, np.pi / 4, np.pi / 2)  # horizontal, diagonal, vertical
-    bar_kernel_size: int = 9
-    bar_out_size: int = 64
-
-    def __post_init__(self):
-        for key in ("gabor_wavelengths", "gabor_orientations", "bar_orientations"):
-            object.__setattr__(self, key, tuple(getattr(self, key)))  # hashable: it keys the spectrum cache
-        if len(self.gabor_wavelengths) != 4 or len(self.gabor_orientations) != 4:
-            raise ValueError("gabor bank uses exactly 4 scales and 4 orientations")
-        if len(self.bar_orientations) != 3:
-            raise ValueError("bar bank uses exactly 3 kernels")
-        check_fields(self, "finite and positive", "gabor_wavelengths", "gabor_sigma_ratio")
-        check_fields(self, "finite", "gabor_orientations", "bar_orientations")
-        check_fields(self, "an integer >= 1", "gabor_kernel_size", "gabor_out_size", "bar_kernel_size", "bar_out_size")
-
-
-def gabor_kernel(wavelength: float, theta: float, size: int = 31, sigma_ratio: float = 0.5) -> np.ndarray:
+def gabor_kernel(wavelength: float, theta: float, size: int = GABOR_KERNEL_SIZE,
+                 sigma_ratio: float = GABOR_SIGMA_RATIO) -> np.ndarray:
     """Even-symmetric Gabor kernel: Gaussian envelope times a cosine carrier.
 
     ``theta = 0`` puts the carrier along x, so the kernel responds to
@@ -194,7 +180,7 @@ def gabor_kernel(wavelength: float, theta: float, size: int = 31, sigma_ratio: f
     return envelope * np.cos(2.0 * np.pi * xr / wavelength)
 
 
-def bar_kernel(theta: float, size: int = 9) -> np.ndarray:
+def bar_kernel(theta: float, size: int = BAR_KERNEL_SIZE) -> np.ndarray:
     """Zero-sum oriented bar detector (second derivative of a Gaussian).
 
     ``theta`` is the direction the bar runs along: 0 = horizontal bar,
@@ -211,25 +197,21 @@ def bar_kernel(theta: float, size: int = 9) -> np.ndarray:
     return kernel - kernel.mean()
 
 
-def _bank_kernels(cfg: FilterBankConfig, bank: str) -> list:
+def _bank_kernels(bank: str) -> list:
     if bank == "gabor":
-        return [
-            gabor_kernel(wl, th, cfg.gabor_kernel_size, cfg.gabor_sigma_ratio)
-            for wl in cfg.gabor_wavelengths
-            for th in cfg.gabor_orientations
-        ]
-    return [bar_kernel(th, cfg.bar_kernel_size) for th in cfg.bar_orientations]
+        return [gabor_kernel(wl, th) for wl in GABOR_WAVELENGTHS for th in GABOR_ORIENTATIONS]
+    return [bar_kernel(th) for th in BAR_ORIENTATIONS]
 
 
 @lru_cache(maxsize=8)
-def _bank_spectra(cfg: FilterBankConfig, bank: str, fshape: tuple) -> np.ndarray:
+def _bank_spectra(bank: str, fshape: tuple) -> np.ndarray:
     """``rfftn`` of each kernel of a bank zero-padded to ``fshape``, stacked (read-only)."""
-    spectra = np.stack([rfftn(k, fshape) for k in _bank_kernels(cfg, bank)])
+    spectra = np.stack([rfftn(k, fshape) for k in _bank_kernels(bank)])
     spectra.flags.writeable = False  # cached spectra are shared by every caller
     return spectra
 
 
-def filter_responses(img: np.ndarray, cfg: FilterBankConfig, bank: str) -> np.ndarray:
+def filter_responses(img: np.ndarray, bank: str) -> np.ndarray:
     """Edge-padded same-size convolution of ``img`` with each kernel of a bank.
 
     ``bank`` is ``"gabor"`` (16 kernels) or ``"bar"`` (3); returns a
@@ -240,12 +222,11 @@ def filter_responses(img: np.ndarray, cfg: FilterBankConfig, bank: str) -> np.nd
     product with each cached kernel spectrum, ``irfftn``, and the centred
     crop of the "valid" part.
     """
-    size = cfg.gabor_kernel_size if bank == "gabor" else cfg.bar_kernel_size
-    half = size // 2  # the kernels are (2 * half + 1) square
+    half = (GABOR_KERNEL_SIZE if bank == "gabor" else BAR_KERNEL_SIZE) // 2  # kernels are 2 * half + 1 square
     padded = np.pad(img.astype(np.float64), half, mode="edge")
     full = [n + 2 * half for n in padded.shape]
     fshape = tuple(next_fast_len(n, real=True) for n in full)
-    spectra = _bank_spectra(cfg, bank, fshape)
+    spectra = _bank_spectra(bank, fshape)
     spectrum = rfftn(padded, fshape)
     h, w = img.shape
     c = 2 * half  # "valid" starts a kernel side minus one into the full convolution
@@ -264,28 +245,27 @@ def _minmax_map(m: np.ndarray) -> np.ndarray:
     return (m - lo) / span
 
 
-def _filter_response_blocks(depth, intensity, cfg: FilterBankConfig, bank: str, out_size: int) -> np.ndarray:
+def _filter_response_blocks(depth, intensity, bank: str, out_size: int) -> np.ndarray:
     blocks = []
     for img in (intensity, depth):
-        for response in np.abs(filter_responses(img, cfg, bank)):
+        for response in np.abs(filter_responses(img, bank)):
             small = resize(response, out_size, out_size, mode="bilinear")
             blocks.append(_minmax_map(small).ravel())
     return np.concatenate(blocks)
 
 
-def gabor_features(depth: np.ndarray, intensity: np.ndarray, cfg: FilterBankConfig = FilterBankConfig()) -> np.ndarray:
+def gabor_features(depth: np.ndarray, intensity: np.ndarray) -> np.ndarray:
     """Gabor-bank baseline: 2 images x 16 kernels x 28x28 maps = 25088 values.
 
     Each 128x128 image is convolved with the 4-scale x 4-orientation bank,
-    response magnitudes are resized to ``gabor_out_size`` and min-max
-    scaled per map.
+    response magnitudes are resized to 28x28 and min-max scaled per map.
     """
-    return _filter_response_blocks(depth, intensity, cfg, "gabor", cfg.gabor_out_size)
+    return _filter_response_blocks(depth, intensity, "gabor", GABOR_OUT_SIZE)
 
 
-def bar_features(depth: np.ndarray, intensity: np.ndarray, cfg: FilterBankConfig = FilterBankConfig()) -> np.ndarray:
+def bar_features(depth: np.ndarray, intensity: np.ndarray) -> np.ndarray:
     """Bar-filter baseline: 2 images x 3 kernels x 64x64 maps = 24576 values."""
-    return _filter_response_blocks(depth, intensity, cfg, "bar", cfg.bar_out_size)
+    return _filter_response_blocks(depth, intensity, "bar", BAR_OUT_SIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +276,7 @@ def extract_features(
     intensity: np.ndarray,
     kind: str = "combined",
     t: int = DEFAULT_MAX_HAND_DEPTH_MM,
-    n_layers: int = DEFAULT_N_LAYERS,
     alignment: MaskAlignment = MaskAlignment(),
-    filter_bank: FilterBankConfig = FilterBankConfig(),
 ) -> np.ndarray:
     """Preprocess one raw depth/intensity pair and extract ``kind`` features."""
     if kind not in FEATURE_KINDS:
@@ -306,22 +284,22 @@ def extract_features(
     dp, ip = preprocess_pair(depth, intensity, t=t, alignment=alignment)
     if kind == "combined":
         fi = intensity_feature_vector(ip)
-        fd = depth_feature_vector(depth_layers(dp, n=n_layers, t=t))
+        fd = depth_feature_vector(depth_layers(dp, t=t))
         return combined_features(fi, fd)
     if kind == "raw":
         return raw_features(dp, ip, t=t)
     if kind == "gabor":
-        return gabor_features(dp, ip, filter_bank)
-    return bar_features(dp, ip, filter_bank)
+        return gabor_features(dp, ip)
+    return bar_features(dp, ip)
 
 
-def feature_dim(kind: str, filter_bank: FilterBankConfig = FilterBankConfig()) -> int:
+def feature_dim(kind: str) -> int:
     """Vector length produced by :func:`extract_features` for ``kind``."""
     dims = {
         "combined": COMBINED_DIM,
         "raw": RAW_DIM,
-        "gabor": 2 * 16 * filter_bank.gabor_out_size ** 2,   # 16 Gabor filters on each image
-        "bar": 2 * 3 * filter_bank.bar_out_size ** 2,        # 3 bar kernels on each image
+        "gabor": 2 * 16 * GABOR_OUT_SIZE ** 2,   # 16 Gabor kernels on each image
+        "bar": 2 * 3 * BAR_OUT_SIZE ** 2,        # 3 bar kernels on each image
     }
     if kind not in dims:
         raise ValueError(f"unknown feature kind {kind!r}")

@@ -156,21 +156,25 @@ class Rbm:
         if self.visible_bias.shape != (self.n_visible,) or self.hidden_bias.shape != (self.n_hidden,):
             raise DimensionMismatchError("bias length disagrees with unit counts")
 
-    def hidden_probabilities(self, v: np.ndarray) -> np.ndarray:
-        """P(h=1 | v) = sigmoid(v W + hidden_bias); accepts a vector or a batch."""
+    def hidden_probabilities(self, v: np.ndarray, out=None) -> np.ndarray:
+        """P(h=1 | v) = sigmoid(v W + hidden_bias); accepts a vector or a batch.
+
+        ``out``, if given, is a C-ordered buffer of the result's shape that
+        receives it, so the call allocates nothing of that size.
+        """
         v = np.asarray(v, dtype=np.float64)
         if v.shape[-1] != self.n_visible:
             raise DimensionMismatchError(f"visible vector length {v.shape[-1]} != {self.n_visible}")
-        out = v @ self.weights
+        out = np.matmul(v, self.weights, out=out)
         out += self.hidden_bias
         return sigmoid(out, out=out)
 
-    def visible_probabilities(self, h: np.ndarray) -> np.ndarray:
-        """P(v=1 | h) = sigmoid(h W^T + visible_bias)."""
+    def visible_probabilities(self, h: np.ndarray, out=None) -> np.ndarray:
+        """P(v=1 | h) = sigmoid(h W^T + visible_bias); ``out`` as for :meth:`hidden_probabilities`."""
         h = np.asarray(h, dtype=np.float64)
         if h.shape[-1] != self.n_hidden:
             raise DimensionMismatchError(f"hidden vector length {h.shape[-1]} != {self.n_hidden}")
-        out = h @ self.weights.T
+        out = np.matmul(h, self.weights.T, out=out)
         out += self.visible_bias
         return sigmoid(out, out=out)
 
@@ -181,9 +185,7 @@ class Rbm:
     def reconstruction_error(self, data: np.ndarray) -> float:
         """Mean squared error between data and its one-pass reconstruction."""
         data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        if data.shape[-1] != self.n_visible:
-            raise DimensionMismatchError(f"visible vector length {data.shape[-1]} != {self.n_visible}")
-        return _reconstruction_error(*self.params, data, np.empty((data.shape[0], self.n_hidden)), np.empty(data.shape))
+        return _reconstruction_error(self, data, np.empty((data.shape[0], self.n_hidden)), np.empty(data.shape))
 
     def cd1_update(
         self,
@@ -237,20 +239,15 @@ class Rbm:
         )
 
 
-def _reconstruction_error(w, vb, hb, data, h, v) -> float:
+def _reconstruction_error(rbm: Rbm, data, h, v) -> float:
     """``np.mean((data - v1) ** 2)`` for the one-pass reconstruction ``v1``, bit for bit.
 
-    ``v1`` is ``sigmoid(sigmoid(data @ w + hb) @ w.T + vb)``.  The passes
-    run in place in the C-ordered buffers ``h`` (n, n_hidden) and ``v``
-    (n, n_visible), so nothing of their size is allocated here: a helper
-    thread runs this on buffers its caller owns.
+    ``v1`` is ``rbm.visible_probabilities(rbm.hidden_probabilities(data))``.
+    The passes write into the C-ordered buffers ``h`` (n, n_hidden) and
+    ``v`` (n, n_visible), so nothing of their size is allocated here: a
+    helper thread runs this on buffers its caller owns.
     """
-    np.matmul(data, w, out=h)
-    h += hb
-    sigmoid(h, out=h)
-    np.matmul(h, w.T, out=v)
-    v += vb
-    sigmoid(v, out=v)
+    v = rbm.visible_probabilities(rbm.hidden_probabilities(data, out=h), out=v)
     np.subtract(data, v, out=v)
     np.square(v, out=v)
     return float(np.mean(v))
@@ -324,6 +321,6 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int | None = None
                 return snapshot
             for dst, src in zip(snapshot.params, rbm.params):
                 np.copyto(dst, src)
-            pending = helper.submit(_reconstruction_error, *snapshot.params, data, h, v)
+            pending = helper.submit(_reconstruction_error, snapshot, data, h, v)
         stops(cfg.epochs - 1, pending.result())
     return rbm

@@ -148,6 +148,17 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "manifest.csv:4" in err and "fewer fields" in err and "Traceback" not in err
 
+    def test_empty_manifest_exits_3(self, tmp_path, capsys):
+        # this used to exit 0 and write nothing, so the next train said "run extract first"
+        cfg = write_config(tmp_path)
+        manifest = tmp_path / "data" / "manifest.csv"
+        manifest.parent.mkdir()
+        manifest.write_text("user,letter,depth_path,intensity_path\n")
+        assert main(["extract", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(manifest) in err and "no samples" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_model_and_log_written(self, workspace):
@@ -209,6 +220,24 @@ class TestTrain:
     def test_missing_features_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("split, directory", [("allseen", "out/"), ("unseen", "out/model_u01.hsdbn")])
+    def test_model_path_that_is_a_directory_exits_2_before_training(self, workspace, tmp_path, capsys, split,
+                                                                   directory):
+        # this used to train the whole network (every earlier hold-out too), then exit 3 with "Is a directory"
+        cfg = copy_workspace(workspace, tmp_path)
+        (tmp_path / "out" / "model.hsdbn").unlink()
+        (tmp_path / directory).mkdir(exist_ok=True)
+        raw = json.loads(cfg.read_text())
+        out = str(tmp_path / "out")
+        raw["paths"]["model"] = out + "/" if split == "allseen" else out + "/model.hsdbn"
+        raw["split"] = {"mode": split}
+        cfg.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "is a directory" in err
+        assert not list((tmp_path / "out").glob("train_log*.csv"))
+        assert not [f for f in (tmp_path / "out").glob("*.hsdbn") if f.is_file()]
 
 
 class TestEval:
@@ -400,6 +429,7 @@ REJECTED_CONFIGS = {
     "alignment_offset_inf": {"preprocessing": {"alignment": {"offset_y": float("inf")}}},
     "max_hand_depth_zero": {"preprocessing": {"max_hand_depth_mm": 0}},
     "max_hand_depth_nan": {"preprocessing": {"max_hand_depth_mm": float("nan")}},
+    # the six depth layers and the two filter banks are constants, so a config that still sets them is refused
     "n_layers_zero": {"preprocessing": {"n_layers": 0}},
     "gabor_out_size_zero": {"feature_kind": "gabor", "filter_bank": {"gabor_out_size": 0}},
     "gabor_sigma_ratio_zero": {"feature_kind": "gabor", "filter_bank": {"gabor_sigma_ratio": 0}},
@@ -462,6 +492,20 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "model.hsdbn").exists()
 
+    @pytest.mark.parametrize("command", ["extract", "train", "predict"])
+    @pytest.mark.parametrize("raw", [
+        {"preprocessing": {"n_layers": 6}},                  # the six depth layers are fixed
+        {"feature_kind": "gabor", "filter_bank": {}},        # so are the filter banks
+        {"comment": "trial 3"},
+    ], ids=["n_layers", "filter_bank", "comment"])
+    def test_unknown_key_exits_2_before_any_file_is_read(self, tmp_path, capsys, command, raw):
+        # every path names a missing file, so reading any of them first would exit 3
+        p = write_config(tmp_path, **raw)
+        images = [str(tmp_path / "d.pgm"), str(tmp_path / "i.pgm")] if command == "predict" else []
+        assert main([command, "--config", str(p), *images]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
     def test_cli_import_leaves_out_scipy_signal(self):
         # scipy.signal costs about 50 MB and 0.4 s of every process's start-up
         pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
@@ -505,6 +549,8 @@ FAULTY_CONFIG_FILES = {
     "list_of_pairs": b'[["rng_seed", 5]]',
     "filter_bank_null": b'{"filter_bank": null}',
     "filter_bank_list": b'{"filter_bank": []}',
+    "preprocessing_null": b'{"preprocessing": null}',
+    "supervised_list": b'{"supervised": []}',
     "split_null": b'{"split": null}',
     "layer_sizes_fraction": b'{"layer_sizes": [8.5]}',
     "workers_fraction": b'{"workers": 2.7}',

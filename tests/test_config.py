@@ -9,7 +9,17 @@ from hypothesis import strategies as st
 
 from fingerspell.config import RunConfig, config_from_dict, config_to_dict, load_config, save_config
 from fingerspell.errors import ConfigError
-from fingerspell.features import FilterBankConfig
+from fingerspell.features import (
+    BAR_KERNEL_SIZE,
+    BAR_ORIENTATIONS,
+    BAR_OUT_SIZE,
+    GABOR_KERNEL_SIZE,
+    GABOR_ORIENTATIONS,
+    GABOR_OUT_SIZE,
+    GABOR_SIGMA_RATIO,
+    GABOR_WAVELENGTHS,
+    N_LAYERS,
+)
 
 
 def ref_config_to_dict(cfg):
@@ -18,20 +28,9 @@ def ref_config_to_dict(cfg):
         "paths": asdict(cfg.paths),
         "preprocessing": {
             "max_hand_depth_mm": cfg.preprocessing.max_hand_depth_mm,
-            "n_layers": cfg.preprocessing.n_layers,
             "alignment": asdict(cfg.preprocessing.alignment),
         },
         "feature_kind": cfg.feature_kind,
-        "filter_bank": {
-            "gabor_wavelengths": list(cfg.filter_bank.gabor_wavelengths),
-            "gabor_orientations": list(cfg.filter_bank.gabor_orientations),
-            "gabor_kernel_size": cfg.filter_bank.gabor_kernel_size,
-            "gabor_sigma_ratio": cfg.filter_bank.gabor_sigma_ratio,
-            "gabor_out_size": cfg.filter_bank.gabor_out_size,
-            "bar_orientations": list(cfg.filter_bank.bar_orientations),
-            "bar_kernel_size": cfg.filter_bank.bar_kernel_size,
-            "bar_out_size": cfg.filter_bank.bar_out_size,
-        },
         "layer_sizes": list(cfg.layer_sizes),
         "rbm": [asdict(c) for c in cfg.rbm_configs()],
         "supervised": {
@@ -67,7 +66,6 @@ class TestRunConfig:
     def test_defaults_carry_reference_hyperparameters(self):
         cfg = RunConfig()
         assert cfg.preprocessing.max_hand_depth_mm == 120
-        assert cfg.preprocessing.n_layers == 6
         assert cfg.layer_sizes == (1500, 700, 400)
         rbm_cfgs = cfg.rbm_configs()
         assert len(rbm_cfgs) == 3 and all(c.epochs == 60 for c in rbm_cfgs)
@@ -105,7 +103,7 @@ class TestRunConfig:
         {"max_hand_depth_mm": float("nan")},
         {"max_hand_depth_mm": float("inf")},
         {"max_hand_depth_mm": "120"},
-        {"n_layers": 0},
+        {"n_layers": 0},  # the six depth layers are fixed: n_layers is no field of the section
         {"n_layers": 2.5},
         {"n_layers": "6"},
         {"alignment": {"offset_x": float("nan")}},
@@ -117,6 +115,7 @@ class TestRunConfig:
             config_from_dict({"preprocessing": preprocessing})
 
     def test_invalid_filter_bank_raises_config_error(self):
+        # the filter banks are fixed: a config that still sets them is refused
         with pytest.raises(ConfigError):
             config_from_dict({"filter_bank": {"gabor_out_size": 0}})
         with pytest.raises(ConfigError):
@@ -200,8 +199,7 @@ class TestDictConversion:
     @pytest.mark.parametrize("raw", [
         {},
         {"layer_sizes": [6, 4], "rbm": [{"epochs": 1, "rng_seed": 1}, {"epochs": 2, "learning_rate": 0.05}]},
-        {"feature_kind": "gabor", "filter_bank": {"gabor_wavelengths": [3, 5.5, 7, 9], "gabor_out_size": 20,
-                                                  "bar_orientations": [0, 1, 2]}},
+        {"feature_kind": "gabor", "preprocessing": {"max_hand_depth_mm": 95.5, "alignment": {"offset_x": 2.5}}},
         {"rng_seed": 5, "rbm": {"epochs": 3}, "split": {"mode": "unseen", "test_user": "user01"}, "workers": 2,
          "supervised": {"stage2": {"epochs": 7}, "stage3": {"learning_rate": 0.005}, "rng_seed": 9}},
     ])
@@ -217,14 +215,6 @@ class TestDictConversion:
         defaults = RunConfig().supervised
         assert cfg.supervised.stage3 == defaults.stage3
         assert asdict(cfg.supervised.stage2) == {**asdict(defaults.stage2), "epochs": 7}
-
-    def test_filter_bank_section_sets_every_field(self):
-        values = {"gabor_wavelengths": [3, 5, 7, 9], "gabor_orientations": [0, 1, 2, 3], "gabor_kernel_size": 15,
-                  "gabor_sigma_ratio": 0.4, "gabor_out_size": 20, "bar_orientations": [0, 0.5, 1],
-                  "bar_kernel_size": 7, "bar_out_size": 32}
-        assert sorted(values) == sorted(f.name for f in fields(FilterBankConfig))
-        echoed = json.loads(json.dumps(config_to_dict(config_from_dict({"filter_bank": values}))))
-        assert echoed["filter_bank"] == values
 
 
 class TestLoading:
@@ -282,6 +272,7 @@ class TestLoading:
         {"paths": {"model": "out/a\0b"}},
         {"split": {"mode": "unseen", "test_user": []}},
         {"split": {"mode": "unseen", "test_user": 3}},
+        {"preprocessing": [["max_hand_depth_mm", 90]]},
     ])
     def test_section_that_is_not_an_object_raises_config_error(self, raw):
         with pytest.raises(ConfigError):
@@ -292,13 +283,20 @@ class TestLoading:
         {"split": {"user": "u1"}},
         {"paths": {"models": "m.hsdbn"}},
         {"rbm": {"epoch": 3}},
+        {"preprocessing": {"n_layers": 6}},  # the six depth layers are fixed
     ])
     def test_unknown_key_in_a_section_raises_config_error(self, raw):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
 
-    def test_unknown_top_level_key_is_ignored(self):
-        assert config_from_dict({"comment": "trial 3"}) == config_from_dict({})
+    @pytest.mark.parametrize("raw, key", [
+        ({"comment": "trial 3"}, "'comment'"),
+        ({"filter_bank": {}}, "'filter_bank'"),           # the filter banks are fixed
+        ({"layer_sizes": [8], "epochs": 3}, "'epochs'"),
+    ])
+    def test_unknown_top_level_key_raises_config_error(self, raw, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
 
     @pytest.mark.parametrize("data", [None, [], [["rng_seed", 5]], "{}", 7])
     def test_top_level_must_be_an_object(self, data):
@@ -374,21 +372,35 @@ def numeric_fields(section, path=()):
 
 
 NUMERIC_FIELDS = list(numeric_fields(replace(RunConfig(), rbm=RunConfig().rbm_configs())))
+# fields that are constants now; a config that still sets one is refused, whatever the value
+REMOVED_NUMERIC_FIELDS = [
+    (("filter_bank", "bar_kernel_size"), BAR_KERNEL_SIZE),
+    (("filter_bank", "bar_orientations"), BAR_ORIENTATIONS),
+    (("filter_bank", "bar_out_size"), BAR_OUT_SIZE),
+    (("filter_bank", "gabor_kernel_size"), GABOR_KERNEL_SIZE),
+    (("filter_bank", "gabor_orientations"), GABOR_ORIENTATIONS),
+    (("filter_bank", "gabor_out_size"), GABOR_OUT_SIZE),
+    (("filter_bank", "gabor_sigma_ratio"), GABOR_SIGMA_RATIO),
+    (("filter_bank", "gabor_wavelengths"), GABOR_WAVELENGTHS),
+    (("preprocessing", "n_layers"), N_LAYERS),
+]
 
 
 class TestBoolFields:
     def test_the_walk_reaches_every_section(self):
         sections = {path[:-1] for path, _ in NUMERIC_FIELDS}
-        assert sections >= {(), ("preprocessing",), ("preprocessing", "alignment"), ("filter_bank",), ("rbm",),
+        assert sections >= {(), ("preprocessing",), ("preprocessing", "alignment"), ("rbm",),
                             ("supervised",), ("supervised", "stage2"), ("supervised", "stage3"), ("split",)}
 
-    @pytest.mark.parametrize("path, default", NUMERIC_FIELDS, ids=[".".join(p) for p, _ in NUMERIC_FIELDS])
+    @pytest.mark.parametrize("path, default", NUMERIC_FIELDS + REMOVED_NUMERIC_FIELDS,
+                             ids=[".".join(p) for p, _ in NUMERIC_FIELDS + REMOVED_NUMERIC_FIELDS])
     def test_true_is_refused_for_every_numeric_field(self, path, default):
         assert config_to_dict(config_from_dict(DEFAULT_DICT)) == config_to_dict(RunConfig())
         raw = copy.deepcopy(DEFAULT_DICT)
         node = raw
         for key in path[:-1]:
-            node = node[key][0] if isinstance(node[key], list) else node[key]  # rbm: the first layer
+            node = node.setdefault(key, {})  # a removed section comes back empty
+            node = node[0] if isinstance(node, list) else node  # rbm: the first layer
         node[path[-1]] = [True, *default[1:]] if isinstance(default, tuple) else True
         with pytest.raises(ConfigError):
             config_from_dict(raw)

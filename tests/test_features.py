@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from fingerspell.errors import DimensionMismatchError, FormatError
+from fingerspell.config import config_from_dict
+from fingerspell.errors import ConfigError, DimensionMismatchError, FormatError
 from fingerspell.features import (
+    BAR_ORIENTATIONS,
     COMBINED_DIM,
     DEPTH_DIM,
+    GABOR_ORIENTATIONS,
+    GABOR_WAVELENGTHS,
     INTENSITY_DIM,
     RAW_DIM,
-    FilterBankConfig,
+    _bank_spectra,
     bar_features,
     bar_kernel,
     combined_features,
@@ -17,7 +21,6 @@ from fingerspell.features import (
     feature_dim,
     filter_responses,
     gabor_features,
-    gabor_kernel,
     intensity_feature_vector,
     preprocess_pair,
     raw_features,
@@ -223,27 +226,26 @@ class TestFilterBanks:
         assert (out == 0).all()
 
     def test_gabor_vertical_stripes_peak_at_zero_orientation(self):
-        cfg = FilterBankConfig()
         wavelength = 8.0
         stripes = (127.5 + 127.5 * np.cos(2 * np.pi * np.arange(28) / wavelength))[None, :]
         img = np.repeat(stripes, 28, axis=0)
         # kernels run wavelength-major: the second four are the 8 px ones
-        assert cfg.gabor_wavelengths[1] == wavelength
-        energies = np.abs(filter_responses(img, cfg, "gabor")[4:8]).mean(axis=(1, 2))
+        assert GABOR_WAVELENGTHS[1] == wavelength
+        energies = np.abs(filter_responses(img, "gabor")[4:8]).mean(axis=(1, 2))
         assert int(np.argmax(energies)) == 0
 
     def test_convolve_matches_direct_loop_oracle(self):
         rng = np.random.default_rng(18)
         img = rng.random((12, 12))
-        kernel = gabor_kernel(4.0, 0.0, size=5)
-        out = filter_responses(img, FilterBankConfig(gabor_kernel_size=5), "gabor")[0]
-        padded = np.pad(img, 2, mode="edge")
+        kernel = bar_kernel(np.pi / 4)  # the bank's second kernel, 9x9
+        out = filter_responses(img, "bar")[1]
+        padded = np.pad(img, 4, mode="edge")
         for y in range(12):
             for x in range(12):
                 acc = 0.0
-                for ky in range(5):
-                    for kx in range(5):
-                        acc += padded[y + 4 - ky, x + 4 - kx] * kernel[ky, kx]
+                for ky in range(9):
+                    for kx in range(9):
+                        acc += padded[y + 8 - ky, x + 8 - kx] * kernel[ky, kx]
                 assert out[y, x] == pytest.approx(acc, abs=1e-9)
 
     def test_bar_feature_length(self):
@@ -264,14 +266,15 @@ class TestFilterBanks:
     def test_horizontal_bar_kernel_prefers_horizontal_bar(self):
         img = np.zeros((40, 40))
         img[19:22, 5:35] = 1.0   # horizontal bar
-        responses = np.abs(filter_responses(img, FilterBankConfig(), "bar")).max(axis=(1, 2))
+        responses = np.abs(filter_responses(img, "bar")).max(axis=(1, 2))
         assert int(np.argmax(responses)) == 0
 
     def test_bank_shape_validation(self):
-        with pytest.raises(ValueError):
-            FilterBankConfig(gabor_wavelengths=(4.0, 8.0))
-        with pytest.raises(ValueError):
-            FilterBankConfig(bar_orientations=(0.0,))
+        # the paper's banks: 4 scales x 4 orientations of Gabor kernels, 3 oriented bars
+        assert len(GABOR_WAVELENGTHS) == len(GABOR_ORIENTATIONS) == 4 and len(BAR_ORIENTATIONS) == 3
+        img = np.zeros((20, 20))
+        assert filter_responses(img, "gabor").shape == (16, 20, 20)
+        assert filter_responses(img, "bar").shape == (3, 20, 20)
 
     @pytest.mark.parametrize("field, value", [
         ("gabor_wavelengths", (4.0, 0.0, 12.0, 16.0)),
@@ -289,13 +292,14 @@ class TestFilterBanks:
         ("bar_out_size", 4.0),
     ])
     def test_bank_field_validation(self, field, value):
-        with pytest.raises(ValueError):
-            FilterBankConfig(**{field: value})
+        # the banks are constants, so a config that sets any of their old fields is refused
+        with pytest.raises(ConfigError, match="filter_bank"):
+            config_from_dict({"filter_bank": {field: list(value) if isinstance(value, tuple) else value}})
 
     def test_bank_sequences_become_tuples(self):
-        cfg = FilterBankConfig(gabor_wavelengths=[4.0, 8.0, 12.0, 16.0])
-        assert cfg.gabor_wavelengths == (4.0, 8.0, 12.0, 16.0)
-        assert hash(cfg) == hash(FilterBankConfig())
+        # tuples, so no caller can change a bank that the kernel and spectrum caches hold
+        assert all(isinstance(v, tuple) for v in (GABOR_WAVELENGTHS, GABOR_ORIENTATIONS, BAR_ORIENTATIONS))
+        assert _bank_spectra("bar", (32, 32)) is _bank_spectra("bar", (32, 32))
 
 
 @pytest.fixture(scope="module")
@@ -308,10 +312,9 @@ def sample():
 class TestExtractFeatures:
 
     def test_dims_per_kind(self, sample):
-        cfg = FilterBankConfig()
         for kind in ("combined", "raw", "gabor", "bar"):
             vec = extract_features(sample.depth, sample.intensity, kind)
-            assert vec.shape == (feature_dim(kind, cfg),)
+            assert vec.shape == (feature_dim(kind),)
             assert vec.min() >= 0.0 and vec.max() <= 1.0
 
     def test_unknown_kind(self, sample):

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy.special import expit
 
 from fingerspell.errors import DimensionMismatchError, EmptyDataError
 from fingerspell.rbm import (
-    BLOCK_ROWS, CdState, Rbm, RbmTrainConfig, StepScratch, param_step, sample_bernoulli, train_rbm,
+    BLOCK_ROWS, CdState, Rbm, RbmTrainConfig, StepScratch, _reconstruction_error, param_step, sample_bernoulli,
+    train_rbm,
 )
 
 
@@ -63,6 +65,16 @@ class TestConditionals:
         r = make_rbm(np.zeros((3, 2)))
         out = r.hidden_probabilities(np.zeros((5, 3)))
         assert out.shape == (5, 2)
+
+    def test_out_buffer_receives_the_same_bytes(self):
+        rng = np.random.default_rng(4)
+        r = make_rbm(rng.normal(0, 0.5, (30, 7)), vb=rng.normal(0, 0.5, 30), hb=rng.normal(0, 0.5, 7))
+        v = rng.random((9, 30))
+        h_out, v_out = np.empty((9, 7)), np.empty((9, 30))
+        h = r.hidden_probabilities(v, out=h_out)
+        assert h is h_out and h.tobytes() == r.hidden_probabilities(v).tobytes()
+        back = r.visible_probabilities(h, out=v_out)
+        assert back is v_out and back.tobytes() == r.visible_probabilities(h).tobytes()
 
 
 class TestSampleBernoulli:
@@ -355,6 +367,20 @@ class TestReconstructionError:
         data = (rng.random((10, 6)) < 0.5).astype(float)
         r = make_rbm(np.zeros((6, 3)))
         assert r.reconstruction_error(data) == pytest.approx(0.25)
+
+    def test_in_place_error_allocates_no_pass_buffer(self):
+        # the helper thread of train_rbm runs this on buffers its caller owns
+        rng = np.random.default_rng(9)
+        r = make_rbm(rng.normal(0, 0.1, (2000, 100)))
+        data = rng.random((200, 2000))
+        h, v = np.empty((200, 100)), np.empty(data.shape)
+        tracemalloc.start()
+        try:
+            _reconstruction_error(r, data, h, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < h.nbytes  # 160 kB; np.mean's own buffer takes 64 kB
 
 
 def template_dataset(n=200, n_templates=16, width=64, flip=0.02, seed=0):

@@ -190,7 +190,7 @@ def check_in_place_error(n, visible, hidden, seed):
     data = rng.random((n, visible))
     h, v = np.empty((n, hidden)), np.empty((n, visible))
     expected = ref_reconstruction_error(rbm, data)
-    assert _reconstruction_error(*rbm.params, data, h, v) == expected
+    assert _reconstruction_error(rbm, data, h, v) == expected
     assert rbm.reconstruction_error(data) == expected
 
 
