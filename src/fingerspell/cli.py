@@ -138,6 +138,8 @@ def cmd_extract(cfg: RunConfig) -> int:
     if not samples:
         raise EmptyDataError(f"manifest {cfg.paths.manifest} holds no samples")
     _print_users(samples, "loaded ")
+    feat_path, label_path = _feature_paths(cfg)
+    feat_path.parent.mkdir(parents=True, exist_ok=True)
     # rows go straight into the float32 matrix the feature file stores
     matrix = np.empty((len(samples), feature_dim(cfg.feature_kind)), dtype=np.float32)
     job, depths, intensities = partial(_extract, cfg), [s.depth for s in samples], [s.intensity for s in samples]
@@ -146,8 +148,6 @@ def cmd_extract(cfg: RunConfig) -> int:
         for i, vec in enumerate(vectors):
             matrix[i] = vec
 
-    feat_path, label_path = _feature_paths(cfg)
-    feat_path.parent.mkdir(parents=True, exist_ok=True)
     write_features(feat_path, cfg.feature_kind, matrix)
     with open(label_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -174,7 +174,7 @@ def _train_one_model(cfg: RunConfig, x, rows, split_spec):
     def rbm_log(layer, epoch, err):
         log_rows.append((f"rbm{layer + 1}", epoch, "", "", f"{err:.6f}"))
 
-    rbms = dbn_mod.pretrain(xt, cfg.layer_sizes, cfg.rbm_configs(), on_epoch=rbm_log)
+    rbms = dbn_mod.pretrain(xt, cfg.layer_sizes, cfg.rbm, on_epoch=rbm_log)
     net = dbn_mod.Dbn.from_rbms(rbms, rng=np.random.default_rng(cfg.supervised.rng_seed + 3))
 
     def stage_log(stage):
@@ -193,6 +193,7 @@ def cmd_train(cfg: RunConfig) -> int:
     for _, model_path, _ in models:
         if model_path.is_dir():
             raise ConfigError(f"model path {model_path} is a directory")
+        model_path.parent.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg)
     if models[0][2]:  # one model per held-out user
         print(f"unseen split with no test user set: training {len(models)} hold-out models")
@@ -201,7 +202,6 @@ def cmd_train(cfg: RunConfig) -> int:
         if spec.test_user is not None:
             print(f"held-out user: {spec.test_user}")
         net, log_rows = _train_one_model(cfg, x, rows, spec)
-        model_path.parent.mkdir(parents=True, exist_ok=True)
         dbn_mod.save_model(net, model_path)
         with open(Path(cfg.paths.output_dir) / f"train_log{suffix}.csv", "w", newline="") as fh:
             fh.write(f"# layer_sizes={sizes} feature_kind={cfg.feature_kind} split={cfg.split.mode}\n")

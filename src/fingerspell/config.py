@@ -5,11 +5,12 @@ hand depth 120 mm, layer sizes 1500/700/400, 60 CD-1 epochs, 200
 translation-layer epochs, fine-tune at a tenth of the rate).
 Component RNG seeds can be pinned individually in the file; when absent
 they derive deterministically from the global ``rng_seed``, so ``--seed``
-reseeds the whole run.
+reseeds the whole run.  Every RBM layer trains with the one ``rbm``
+section; layer ``i`` draws from ``rbm.rng_seed + i``.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from fingerspell.dataset import SplitSpec
 from fingerspell.dbn import DEFAULT_LAYER_SIZES, SupervisedTrainConfig
@@ -44,7 +45,7 @@ class RunConfig:
     preprocessing: PreprocessConfig = field(default_factory=PreprocessConfig)
     feature_kind: str = "combined"
     layer_sizes: tuple = DEFAULT_LAYER_SIZES
-    rbm: list = field(default_factory=list)          # one RbmTrainConfig per layer
+    rbm: RbmTrainConfig = field(default_factory=RbmTrainConfig)  # layer i trains with rng_seed + i
     supervised: SupervisedTrainConfig = field(default_factory=SupervisedTrainConfig)
     split: SplitSpec = field(default_factory=SplitSpec)
     workers: int = 1
@@ -57,14 +58,6 @@ class RunConfig:
             raise ConfigError("layer_sizes must be a non-empty tuple")
         check_fields(self, "an integer >= 1", "workers", "layer_sizes")
         check_fields(self, "an integer >= 0", "rng_seed")
-        if self.rbm and len(self.rbm) != len(self.layer_sizes):
-            raise ConfigError("rbm config list must match layer_sizes length")
-
-    def rbm_configs(self) -> list:
-        """Per-layer RBM configs; defaults derive their seeds from rng_seed."""
-        if self.rbm:
-            return list(self.rbm)
-        return [RbmTrainConfig(rng_seed=self.rng_seed + RBM_SEED_OFFSET + i) for i in range(len(self.layer_sizes))]
 
 
 # component seeds derived from the global seed when not pinned in JSON
@@ -73,11 +66,27 @@ RBM_SEED_OFFSET = 21
 SUPERVISED_SEED_OFFSET = 31
 
 
-def _section(data: dict, key: str) -> dict:
-    section = data.get(key, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"{key} must be a JSON object")
-    return section
+def _merge(base, data, where: str):
+    """``base`` (a config dataclass) with the JSON object ``data`` laid over it, section by section.
+
+    A section is merged by the same rule, a tuple field takes ``tuple(value)``
+    and any other field takes the value; every level is rebuilt with
+    ``dataclasses.replace``, so its ``__post_init__`` checks run.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = data.keys() - {f.name for f in fields(base)}
+    if unknown:
+        raise ConfigError(f"unknown config key(s) in {where}: {', '.join(sorted(map(repr, unknown)))}")
+    changes = {}
+    for key, value in data.items():
+        default = getattr(base, key)
+        if is_dataclass(default):
+            value = _merge(default, value, f"{where}.{key}")
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        changes[key] = value
+    return replace(base, **changes)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -87,46 +96,23 @@ def config_from_dict(data: dict) -> RunConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError("a config must be a JSON object")
-    unknown = data.keys() - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(map(repr, unknown)))}")
     try:
         # checks the global seed before the component seeds derive from it
-        cfg = RunConfig(rng_seed=data.get("rng_seed", RunConfig.rng_seed))
-        seed = cfg.rng_seed
-
-        pre = dict(_section(data, "preprocessing"))
-        pre["alignment"] = MaskAlignment(**_section(pre, "alignment"))
-
-        layer_sizes = tuple(data.get("layer_sizes", cfg.layer_sizes))
-        rbm = data.get("rbm", [])
-        if isinstance(rbm, dict):
-            rbm = [{"rng_seed": seed + RBM_SEED_OFFSET + i, **rbm} for i in range(len(layer_sizes))]
-        elif not isinstance(rbm, list):
-            raise ValueError("rbm must be a JSON object or a list of them")
-
-        supervised = {"rng_seed": seed + SUPERVISED_SEED_OFFSET, **_section(data, "supervised")}
-        for stage in ("stage2", "stage3"):
-            supervised[stage] = replace(getattr(cfg.supervised, stage), **_section(supervised, stage))
-
-        return replace(
-            cfg,
-            paths=PathsConfig(**_section(data, "paths")),
-            preprocessing=PreprocessConfig(**pre),
-            feature_kind=data.get("feature_kind", cfg.feature_kind),
-            layer_sizes=layer_sizes,
-            rbm=[RbmTrainConfig(**entry) for entry in rbm],
-            supervised=SupervisedTrainConfig(**supervised),
-            split=SplitSpec(**{"rng_seed": seed + SPLIT_SEED_OFFSET, **_section(data, "split")}),
-            workers=data.get("workers", cfg.workers),
-        )
+        base = RunConfig(rng_seed=data.get("rng_seed", RunConfig.rng_seed))
+        seed = base.rng_seed
+        derived = {
+            "rbm": {"rng_seed": seed + RBM_SEED_OFFSET},
+            "supervised": {"rng_seed": seed + SUPERVISED_SEED_OFFSET},
+            "split": {"rng_seed": seed + SPLIT_SEED_OFFSET},
+        }
+        return _merge(_merge(base, derived, "config"), data, "config")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Full effective configuration (every default resolved)."""
-    return {**asdict(cfg), "rbm": [asdict(c) for c in cfg.rbm_configs()]}
+    return asdict(cfg)
 
 
 def read_config_file(path) -> dict:

@@ -11,7 +11,7 @@ conditionals in every stage.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -128,39 +128,26 @@ class Dbn:
         s = self.scores(np.asarray(x, dtype=np.float64).reshape(-1))
         return Prediction(scores=s, label=self.class_labels[int(np.argmax(s))])
 
-    def copy(self) -> "Dbn":
-        return Dbn(
-            [r.copy() for r in self.rbm_layers],
-            self.translation_w.copy(),
-            self.translation_b.copy(),
-            self.class_labels,
-        )
-
 
 # ---------------------------------------------------------------------------
 # greedy pretraining
 
-def pretrain(features: np.ndarray, layer_sizes, cfgs, on_epoch=None) -> list:
+def pretrain(features: np.ndarray, layer_sizes, cfg: RbmTrainConfig, on_epoch=None) -> list:
     """Train the RBM chain: each layer learns the previous layer's activations.
 
-    ``cfgs`` is either one :class:`RbmTrainConfig` (shared) or a list, one
-    per layer.  ``on_epoch(layer_index, epoch, recon_error)`` reports
-    progress.  Returns the list of trained RBMs.
+    Layer ``i`` trains with ``cfg`` and the seed ``cfg.rng_seed + i``.
+    ``on_epoch(layer_index, epoch, recon_error)`` reports progress.
+    Returns the list of trained RBMs.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] == 0:
         raise EmptyDataError("pretraining data is empty")
-    layer_sizes = list(layer_sizes)
-    if isinstance(cfgs, RbmTrainConfig):
-        cfgs = [cfgs] * len(layer_sizes)
-    if len(cfgs) != len(layer_sizes):
-        raise ValueError("need one RBM config per layer")
 
     rbms = []
     data = features
-    for i, (size, cfg) in enumerate(zip(layer_sizes, cfgs)):
+    for i, size in enumerate(layer_sizes):
         cb = (lambda e, err, _i=i: on_epoch(_i, e, err)) if on_epoch is not None else None
-        rbm = train_rbm(data, cfg, n_hidden=size, on_epoch=cb)
+        rbm = train_rbm(data, replace(cfg, rng_seed=cfg.rng_seed + i), n_hidden=size, on_epoch=cb)
         rbms.append(rbm)
         data = rbm.hidden_probabilities(data)
     return rbms
@@ -170,18 +157,13 @@ def pretrain(features: np.ndarray, layer_sizes, cfgs, on_epoch=None) -> list:
 # supervised loss and gradients
 
 def labels_to_indices(labels, class_labels) -> np.ndarray:
-    """Map letter labels (or already-integer indices) to class indices."""
+    """Map letter labels to class indices."""
     index = {c: i for i, c in enumerate(class_labels)}
     out = np.empty(len(labels), dtype=np.int64)
     for i, lab in enumerate(labels):
-        if isinstance(lab, (int, np.integer)):
-            if not 0 <= int(lab) < len(class_labels):
-                raise LabelOutOfRangeError(f"class index {lab} out of range")
-            out[i] = int(lab)
-        else:
-            if lab not in index:
-                raise LabelOutOfRangeError(f"unknown class label {lab!r}")
-            out[i] = index[lab]
+        if lab not in index:
+            raise LabelOutOfRangeError(f"unknown class label {lab!r}")
+        out[i] = index[lab]
     return out
 
 

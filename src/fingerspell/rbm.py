@@ -253,7 +253,7 @@ def _reconstruction_error(rbm: Rbm, data, h, v) -> float:
     return float(np.mean(v))
 
 
-def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int | None = None, on_epoch=None) -> Rbm:
+def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=None) -> Rbm:
     """Train an RBM with CD-1 mini-batches for ``cfg.epochs`` or until convergence.
 
     Rows are reshuffled every epoch with the seeded generator; training
@@ -275,8 +275,6 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int | None = None
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[0] == 0:
         raise EmptyDataError("training data is empty")
-    if n_hidden is None:
-        raise ValueError("n_hidden is required")
 
     rng = np.random.default_rng(cfg.rng_seed)
     rbm = Rbm(data.shape[1], n_hidden, rng=rng)

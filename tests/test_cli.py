@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fingerspell
+from fingerspell import cli
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.cli import _load_config_with_overrides, build_parser, main
 from fingerspell.config import config_to_dict, load_config
@@ -148,6 +149,19 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "manifest.csv:4" in err and "fewer fields" in err and "Traceback" not in err
 
+    def test_output_dir_that_is_a_file_exits_3_before_extracting(self, tmp_path, capsys, monkeypatch):
+        # this used to extract every capture, then exit 3 with "File exists"
+        cfg = write_config(tmp_path)
+        assert main(["gen-synthetic", "--config", str(cfg), "--users", "1", "--per-class", "1"]) == 0
+        raw = json.loads(cfg.read_text())
+        raw["paths"]["output_dir"] = str(cfg)
+        cfg.write_text(json.dumps(raw))
+        calls = []
+        monkeypatch.setattr(cli, "extract_features", lambda *a, **k: calls.append(a))
+        assert main(["extract", "--config", str(cfg)]) == 3
+        assert "io error" in capsys.readouterr().err
+        assert calls == []
+
     def test_empty_manifest_exits_3(self, tmp_path, capsys):
         # this used to exit 0 and write nothing, so the next train said "run extract first"
         cfg = write_config(tmp_path)
@@ -238,6 +252,17 @@ class TestTrain:
         assert "config error" in err and "is a directory" in err
         assert not list((tmp_path / "out").glob("train_log*.csv"))
         assert not [f for f in (tmp_path / "out").glob("*.hsdbn") if f.is_file()]
+
+    def test_model_parent_that_is_a_file_exits_3_before_training(self, workspace, tmp_path, capsys, monkeypatch):
+        # this used to train the whole network, then exit 3 at the model directory's mkdir
+        cfg = copy_workspace(workspace, tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw["paths"]["model"] = str(tmp_path / "out" / "labels.csv" / "model.hsdbn")
+        cfg.write_text(json.dumps(raw))
+        monkeypatch.setattr(cli.dbn_mod, "pretrain", lambda *a, **k: pytest.fail("pretrained"))
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert "io error" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("train_log*.csv"))
 
 
 class TestEval:
@@ -506,6 +531,15 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
+    @pytest.mark.parametrize("command", ["extract", "train", "predict"])
+    def test_rbm_list_exits_2_before_any_file_is_read(self, tmp_path, capsys, command):
+        # the per-layer form of older effective configs; its first entry, as an object, reproduces such a run
+        p = write_config(tmp_path, rbm=[{"epochs": 2, "batch_size": 32}] * 2)
+        images = [str(tmp_path / "d.pgm"), str(tmp_path / "i.pgm")] if command == "predict" else []
+        assert main([command, "--config", str(p), *images]) == 2
+        assert "config.rbm must be a JSON object" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
     def test_cli_import_leaves_out_scipy_signal(self):
         # scipy.signal costs about 50 MB and 0.4 s of every process's start-up
         pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
@@ -532,6 +566,15 @@ class TestConfigHandling:
         # rerunning from the echoed config reproduces the extraction bit-for-bit
         main(["extract", "--config", str(echoed)])
         assert (tmp_path / "out" / "features_combined.bin").read_bytes() == feat
+
+    def test_effective_config_reads_back_as_itself(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["gen-synthetic", "--config", str(cfg), "--users", "1", "--per-class", "1"]) == 0
+        echoed = (tmp_path / "out" / "config.effective.json").read_text()
+        (tmp_path / "echoed.json").write_text(echoed)
+        assert main(["gen-synthetic", "--config", str(tmp_path / "echoed.json"), "--users", "1", "--per-class", "1"]) == 0
+        assert (tmp_path / "out" / "config.effective.json").read_text() == echoed
+        assert json.loads(echoed)["rbm"]["rng_seed"] == 77 + 21  # derived from rng_seed, then pinned
 
     def test_seed_flag_changes_generation(self, tmp_path):
         cfg = write_config(tmp_path)

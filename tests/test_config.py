@@ -1,12 +1,13 @@
 import copy
 import json
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fingerspell.dbn as dbn_mod
 from fingerspell.config import RunConfig, config_from_dict, config_to_dict, load_config, save_config
 from fingerspell.errors import ConfigError
 from fingerspell.features import (
@@ -20,6 +21,7 @@ from fingerspell.features import (
     GABOR_WAVELENGTHS,
     N_LAYERS,
 )
+from fingerspell.rbm import train_rbm
 
 
 def ref_config_to_dict(cfg):
@@ -32,7 +34,7 @@ def ref_config_to_dict(cfg):
         },
         "feature_kind": cfg.feature_kind,
         "layer_sizes": list(cfg.layer_sizes),
-        "rbm": [asdict(c) for c in cfg.rbm_configs()],
+        "rbm": asdict(cfg.rbm),
         "supervised": {
             "stage2": asdict(cfg.supervised.stage2),
             "stage3": asdict(cfg.supervised.stage3),
@@ -67,8 +69,7 @@ class TestRunConfig:
         cfg = RunConfig()
         assert cfg.preprocessing.max_hand_depth_mm == 120
         assert cfg.layer_sizes == (1500, 700, 400)
-        rbm_cfgs = cfg.rbm_configs()
-        assert len(rbm_cfgs) == 3 and all(c.epochs == 60 for c in rbm_cfgs)
+        assert cfg.rbm.epochs == 60
         assert cfg.supervised.stage2.epochs == 200
         assert cfg.supervised.stage3.learning_rate == pytest.approx(cfg.supervised.stage2.learning_rate * 0.1)
 
@@ -152,7 +153,7 @@ class TestRunConfig:
         {"rbm": {"rng_seed": 1.5}},
         {"rbm": {"rng_seed": True}},
         {"rbm": {"rng_seed": -1}},
-        {"layer_sizes": [6, 4], "rbm": [{"rng_seed": 1}, {"rng_seed": 2.0}]},
+        {"layer_sizes": [6, 4], "rbm": {"rng_seed": 2.0}},
         {"supervised": {"rng_seed": 2.5}},
         {"supervised": {"rng_seed": -1}},
         {"split": {"rng_seed": 2.5}},
@@ -168,20 +169,44 @@ class TestRunConfig:
 
     def test_large_and_numpy_integer_seeds_are_accepted(self):
         cfg = config_from_dict({"rng_seed": 2**40, "rbm": {"rng_seed": np.int64(3)}, "split": {"rng_seed": 0}})
-        assert cfg.rng_seed == 2**40 and cfg.rbm_configs()[0].rng_seed == 3 and cfg.split.rng_seed == 0
+        assert cfg.rng_seed == 2**40 and cfg.rbm.rng_seed == 3 and cfg.split.rng_seed == 0
 
     def test_pretraining_may_be_skipped(self):
         # zero RBM epochs keep the initial weights: a valid untrained stack
-        assert all(c.epochs == 0 for c in config_from_dict({"rbm": {"epochs": 0}}).rbm_configs())
+        assert config_from_dict({"rbm": {"epochs": 0}}).rbm.epochs == 0
 
     def test_float_max_hand_depth_is_accepted(self):
         assert config_from_dict({"preprocessing": {"max_hand_depth_mm": 95.5}}).preprocessing.max_hand_depth_mm == 95.5
 
-    def test_per_layer_rbm_list(self):
-        cfg = config_from_dict(
-            {"layer_sizes": [6, 4], "rbm": [{"epochs": 1, "rng_seed": 1}, {"epochs": 2, "rng_seed": 2}]}
-        )
-        assert [c.epochs for c in cfg.rbm_configs()] == [1, 2]
+    @staticmethod
+    def layer_seeds(monkeypatch, raw):
+        """The seed that ``pretrain`` hands each RBM layer under the config ``raw``."""
+        seeds = []
+
+        def spy(data, cfg, n_hidden, on_epoch=None):
+            seeds.append(cfg.rng_seed)
+            return train_rbm(data, cfg, n_hidden, on_epoch=on_epoch)
+
+        monkeypatch.setattr(dbn_mod, "train_rbm", spy)
+        cfg = config_from_dict(raw)
+        dbn_mod.pretrain(np.random.default_rng(0).random((6, 5)), cfg.layer_sizes, cfg.rbm)
+        return seeds
+
+    def test_global_seed_reaches_every_rbm_layer(self, monkeypatch):
+        # an rbm list without seeds used to give every layer seed 0, whatever rng_seed said
+        raw = {"layer_sizes": [6, 4], "rbm": {"epochs": 1}}
+        a = self.layer_seeds(monkeypatch, {**raw, "rng_seed": 5})
+        b = self.layer_seeds(monkeypatch, {**raw, "rng_seed": 99})
+        assert (a, b) == ([26, 27], [120, 121])
+
+    def test_pinned_rbm_seed_gives_layer_i_that_seed_plus_i(self, monkeypatch):
+        raw = {"layer_sizes": [6, 4, 3], "rbm": {"epochs": 1, "rng_seed": 40}, "rng_seed": 5}
+        assert self.layer_seeds(monkeypatch, raw) == [40, 41, 42]
+
+    def test_rbm_list_is_refused(self):
+        # one rbm section trains every layer; the per-layer list of earlier effective configs is gone
+        with pytest.raises(ConfigError, match="config.rbm must be a JSON object"):
+            config_from_dict({"layer_sizes": [6, 4], "rbm": [{"epochs": 1}, {"epochs": 1}]})
 
     def test_file_round_trip(self, tmp_path):
         cfg = config_from_dict({"rng_seed": 31, "layer_sizes": [10]})
@@ -198,7 +223,7 @@ class TestRunConfig:
 class TestDictConversion:
     @pytest.mark.parametrize("raw", [
         {},
-        {"layer_sizes": [6, 4], "rbm": [{"epochs": 1, "rng_seed": 1}, {"epochs": 2, "learning_rate": 0.05}]},
+        {"layer_sizes": [6, 4], "rbm": {"epochs": 1, "rng_seed": 1, "learning_rate": 0.05}},
         {"feature_kind": "gabor", "preprocessing": {"max_hand_depth_mm": 95.5, "alignment": {"offset_x": 2.5}}},
         {"rng_seed": 5, "rbm": {"epochs": 3}, "split": {"mode": "unseen", "test_user": "user01"}, "workers": 2,
          "supervised": {"stage2": {"epochs": 7}, "stage3": {"learning_rate": 0.005}, "rng_seed": 9}},
@@ -363,15 +388,13 @@ def numeric_fields(section, path=()):
     """``(path, default)`` of every numeric field, or tuple of numbers, in ``section`` and the sections inside it."""
     for f in fields(section):
         value = getattr(section, f.name)
-        if isinstance(value, list):  # the per-layer RBM configs
-            value = value[0]
         if is_dataclass(value):
             yield from numeric_fields(value, path + (f.name,))
         elif isinstance(value, (int, float)) or (isinstance(value, tuple) and isinstance(value[0], (int, float))):
             yield path + (f.name,), value
 
 
-NUMERIC_FIELDS = list(numeric_fields(replace(RunConfig(), rbm=RunConfig().rbm_configs())))
+NUMERIC_FIELDS = list(numeric_fields(RunConfig()))
 # fields that are constants now; a config that still sets one is refused, whatever the value
 REMOVED_NUMERIC_FIELDS = [
     (("filter_bank", "bar_kernel_size"), BAR_KERNEL_SIZE),
@@ -400,7 +423,6 @@ class TestBoolFields:
         node = raw
         for key in path[:-1]:
             node = node.setdefault(key, {})  # a removed section comes back empty
-            node = node[0] if isinstance(node, list) else node  # rbm: the first layer
         node[path[-1]] = [True, *default[1:]] if isinstance(default, tuple) else True
         with pytest.raises(ConfigError):
             config_from_dict(raw)

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestPretrain:
         rng = np.random.default_rng(6)
         data = (rng.random((40, 10)) < 0.5).astype(float)
         cfg = RbmTrainConfig(epochs=3, batch_size=20, rng_seed=9)
-        chain = pretrain(data, [5], [cfg])
+        chain = pretrain(data, [5], cfg)
         solo = train_rbm(data, cfg, n_hidden=5)
         assert chain[0].weights.tobytes() == solo.weights.tobytes()
 
@@ -304,7 +305,7 @@ class TestStage3:
             stage2=StageConfig(learning_rate=1.0),
             stage3=StageConfig(learning_rate=1e-30, epochs=3, input_noise_sigma=0.0),
         )
-        before = net.copy()
+        before = copy.deepcopy(net)
         fine_tune(net, (x[:20], y[:20]), (x[20:], y[20:]), cfg)
         assert models_equal(net, before)
 
