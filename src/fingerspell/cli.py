@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -162,9 +162,8 @@ def cmd_extract(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _train_one_model(cfg: RunConfig, x, rows, split_spec):
+def _train_one_model(cfg: RunConfig, x, train_rows, valid_rows):
     """The trained network and its log rows."""
-    train_rows, valid_rows, _ = ds.split_dataset(rows, split_spec)
     xt = x[[r.index for r in train_rows]]
     yt = [r.letter for r in train_rows]
     xv = x[[r.index for r in valid_rows]]
@@ -194,14 +193,20 @@ def cmd_train(cfg: RunConfig) -> int:
         if model_path.is_dir():
             raise ConfigError(f"model path {model_path} is a directory")
         model_path.parent.mkdir(parents=True, exist_ok=True)
+    splits = [ds.split_dataset(rows, spec)[:2] for spec, _, _ in models]
+    for (spec, _, _), split in zip(models, splits):
+        for name, part in zip(("train", "validation"), split):
+            if not part:
+                who = "" if spec.test_user is None else f" with {spec.test_user} held out"
+                raise EmptyDataError(f"{spec.mode} split{who} leaves the {name} set empty")
     _echo_config(cfg)
     if models[0][2]:  # one model per held-out user
         print(f"unseen split with no test user set: training {len(models)} hold-out models")
     sizes = "/".join(str(s) for s in cfg.layer_sizes)
-    for spec, model_path, suffix in models:
+    for (spec, model_path, suffix), (train_rows, valid_rows) in zip(models, splits):
         if spec.test_user is not None:
             print(f"held-out user: {spec.test_user}")
-        net, log_rows = _train_one_model(cfg, x, rows, spec)
+        net, log_rows = _train_one_model(cfg, x, train_rows, valid_rows)
         dbn_mod.save_model(net, model_path)
         with open(Path(cfg.paths.output_dir) / f"train_log{suffix}.csv", "w", newline="") as fh:
             fh.write(f"# layer_sizes={sizes} feature_kind={cfg.feature_kind} split={cfg.split.mode}\n")
@@ -258,13 +263,16 @@ def cmd_eval(cfg: RunConfig, model_path=None) -> int:
 # predict
 
 def cmd_predict(cfg: RunConfig, model_path, depth_path, intensity_path) -> int:
+    model_path = cfg.paths.model if model_path is None else model_path
     for p in (depth_path, intensity_path):
         if not Path(p).exists():
             raise MissingFileError(f"input image not found: {p}")
+    if not Path(model_path).exists():
+        raise MissingFileError(f"model not found: {model_path}")
     depth, intensity = read_pgm(depth_path), read_pgm(intensity_path)
     ds.check_pair(depth, intensity, f"{depth_path}, {intensity_path}")
     depth = depth.astype(np.int32)
-    net = dbn_mod.load_model(model_path if model_path is not None else cfg.paths.model)
+    net = dbn_mod.load_model(model_path)
     prediction = net.forward(_extract(cfg, depth, intensity))
     print(f"predicted: {prediction.label}")
     order = np.argsort(prediction.scores)[::-1]
@@ -276,7 +284,9 @@ def cmd_predict(cfg: RunConfig, model_path, depth_path, intensity_path) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``parse_args`` keeps no state between calls, so ``main`` reuses it."""
     parser = argparse.ArgumentParser(prog="fingerspell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -264,6 +265,21 @@ class TestTrain:
         assert "io error" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("train_log*.csv"))
 
+    def test_empty_validation_set_exits_3_before_pretraining(self, tmp_path, capsys, monkeypatch):
+        # this used to pretrain the first hold-out's stack, then exit 3 with "labeled feature set is empty"
+        cfg = write_config(tmp_path, layer_sizes=[40, 20, 10])
+        assert main(["gen-synthetic", "--config", str(cfg), "--users", "3", "--per-class", "3"]) == 0
+        assert main(["extract", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        pretrained = []
+        monkeypatch.setattr(cli.dbn_mod, "pretrain", lambda *a, **k: pretrained.append(a))
+        assert main(["train", "--config", str(cfg), "--split", "unseen", "--seed", "9"]) == 3
+        captured = capsys.readouterr()
+        assert "u00 held out" in captured.err and "validation set empty" in captured.err
+        assert "held-out user" not in captured.out
+        assert pretrained == []
+        assert not list((tmp_path / "out").glob("*.hsdbn")) and not list((tmp_path / "out").glob("train_log*.csv"))
+
 
 class TestEval:
     def test_reports_written_and_deterministic(self, workspace):
@@ -438,12 +454,84 @@ class TestPredict:
         assert main(["predict", "--config", str(cfg), "--model", str(poisoned), str(depth), str(intensity)]) == 4
         assert "predicted" not in capsys.readouterr().out
 
+    def test_missing_model_exits_3_before_reading_images(self, workspace, capsys, monkeypatch):
+        # this used to decode both captures, then exit 3 with "io error: [Errno 2] No such file or directory"
+        tmp_path, cfg = workspace
+        depth = next((tmp_path / "data" / "images").glob("*_depth.pgm"))
+        intensity = Path(str(depth).replace("_depth", "_intensity"))
+        monkeypatch.setattr(cli, "read_pgm", lambda path: pytest.fail(f"read {path}"))
+        nope = tmp_path / "out" / "nope.hsdbn"
+        assert main(["predict", "--config", str(cfg), "--model", str(nope), str(depth), str(intensity)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: model not found: {nope}\n"
+        assert "predicted" not in captured.out
+
 
 @pytest.fixture(scope="module")
 def one_capture_per_letter(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("tiny")
     assert main(["gen-synthetic", "--config", str(write_config(tmp_path)), "--users", "1", "--per-class", "1"]) == 0
     return tmp_path / "data" / "manifest.csv"
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser, so no call may see another's arguments."""
+
+    @staticmethod
+    def capture(workspace):
+        depth = next((workspace[0] / "data" / "images").glob("*_depth.pgm"))
+        return [str(depth), str(depth).replace("_depth", "_intensity")]
+
+    def test_model_flag_does_not_reach_the_next_call(self, workspace, tmp_path, monkeypatch):
+        ws_path, cfg = workspace
+        other = tmp_path / "other.hsdbn"
+        shutil.copy(ws_path / "out" / "model.hsdbn", other)
+        loaded = []
+        real_load = cli.dbn_mod.load_model
+        monkeypatch.setattr(cli.dbn_mod, "load_model", lambda path: loaded.append(Path(path)) or real_load(path))
+        assert main(["predict", "--config", str(cfg), "--model", str(other)] + self.capture(workspace)) == 0
+        assert main(["predict", "--config", str(cfg)] + self.capture(workspace)) == 0
+        assert loaded == [other, ws_path / "out" / "model.hsdbn"]
+
+    def test_override_flags_do_not_reach_the_next_call(self, tmp_path, monkeypatch):
+        p = write_config(tmp_path)
+        configs = []
+        monkeypatch.setattr(cli, "cmd_train", lambda cfg: configs.append(cfg) or 0)
+        flags = ["--seed", "9", "--workers", "2", "--split", "unseen", "--test-user", "u1"]
+        assert main(["train", "--config", str(p)] + flags) == 0
+        assert main(["train", "--config", str(p)]) == 0
+        first, second = [(c.rng_seed, c.workers, c.split.mode, c.split.test_user) for c in configs]
+        assert first == (9, 2, "unseen", "u1")
+        assert second == (77, 1, "allseen", None)
+        assert configs[1] == load_config(p)
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, workspace, capsys):
+        _, cfg = workspace
+        argv = ["predict", "--config", str(cfg)] + self.capture(workspace)
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: depth, intensity" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_second_call_builds_no_parser(self, workspace, monkeypatch):
+        _, cfg = workspace
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["predict", "--config", str(cfg)] + self.capture(workspace)
+        assert main(argv) == 0
+        built.clear()
+        assert main(argv) == 0
+        assert built == []
 
 
 # each of these used to extract without complaint (exit 0, NaN or all-zero
