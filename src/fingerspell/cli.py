@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -262,6 +262,13 @@ def cmd_eval(cfg: RunConfig, model_path=None) -> int:
 # ---------------------------------------------------------------------------
 # predict
 
+def _read_capture(cfg: RunConfig, depth_path, intensity_path):
+    """The feature vector of one checked depth/intensity PGM pair."""
+    depth, intensity = read_pgm(depth_path), read_pgm(intensity_path)
+    ds.check_pair(depth, intensity, f"{depth_path}, {intensity_path}")
+    return _extract(cfg, depth.astype(np.int32), intensity)
+
+
 def cmd_predict(cfg: RunConfig, model_path, depth_path, intensity_path) -> int:
     model_path = cfg.paths.model if model_path is None else model_path
     for p in (depth_path, intensity_path):
@@ -269,11 +276,16 @@ def cmd_predict(cfg: RunConfig, model_path, depth_path, intensity_path) -> int:
             raise MissingFileError(f"input image not found: {p}")
     if not Path(model_path).exists():
         raise MissingFileError(f"model not found: {model_path}")
-    depth, intensity = read_pgm(depth_path), read_pgm(intensity_path)
-    ds.check_pair(depth, intensity, f"{depth_path}, {intensity_path}")
-    depth = depth.astype(np.int32)
-    net = dbn_mod.load_model(model_path)
-    prediction = net.forward(_extract(cfg, depth, intensity))
+    # The capture is read and featurized on a helper thread while this thread loads the model, whose
+    # copy releases the GIL.  Loading it on the helper would give that thread its own malloc arena
+    # for the model's buffers and raise the peak RSS.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        capture = pool.submit(_read_capture, cfg, depth_path, intensity_path)
+        try:
+            net = dbn_mod.load_model(model_path)
+        finally:
+            x = capture.result()  # so a capture fault is reported before a model fault
+    prediction = net.forward(x)
     print(f"predicted: {prediction.label}")
     order = np.argsort(prediction.scores)[::-1]
     for i in order:

@@ -17,7 +17,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from fingerspell import container
 from fingerspell.errors import DimensionMismatchError
@@ -206,6 +205,8 @@ def _bank_kernels(bank: str) -> list:
 @lru_cache(maxsize=8)
 def _bank_spectra(bank: str, fshape: tuple) -> np.ndarray:
     """``rfftn`` of each kernel of a bank zero-padded to ``fshape``, stacked (read-only)."""
+    from scipy.fft import rfftn
+
     spectra = np.stack([rfftn(k, fshape) for k in _bank_kernels(bank)])
     spectra.flags.writeable = False  # cached spectra are shared by every caller
     return spectra
@@ -222,6 +223,8 @@ def filter_responses(img: np.ndarray, bank: str) -> np.ndarray:
     product with each cached kernel spectrum, ``irfftn``, and the centred
     crop of the "valid" part.
     """
+    from scipy.fft import irfftn, next_fast_len, rfftn  # imported here, so the combined and raw kinds never load it
+
     half = (GABOR_KERNEL_SIZE if bank == "gabor" else BAR_KERNEL_SIZE) // 2  # kernels are 2 * half + 1 square
     padded = np.pad(img.astype(np.float64), half, mode="edge")
     full = [n + 2 * half for n in padded.shape]

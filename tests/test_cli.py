@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from fingerspell.dbn import Dbn, load_model, save_model
 from fingerspell.dataset import load_dataset
 from fingerspell.errors import ConfigError
 from fingerspell.features import extract_features, read_features, write_features
-from fingerspell.pgm import write_pgm
+from fingerspell.pgm import read_pgm, write_pgm
 
 
 def write_config(tmp_path, **overrides):
@@ -466,6 +467,103 @@ class TestPredict:
         assert captured.err == f"error: model not found: {nope}\n"
         assert "predicted" not in captured.out
 
+    # predict reads and featurizes the capture on a helper thread while the calling thread loads the model
+    @staticmethod
+    def sequential_stdout(cfg_path, depth, intensity):
+        """``predict``'s stdout built one step after another on this thread."""
+        cfg = load_config(cfg_path)
+        x = extract_features(read_pgm(depth).astype(np.int32), read_pgm(intensity), cfg.feature_kind,
+                             t=cfg.preprocessing.max_hand_depth_mm, alignment=cfg.preprocessing.alignment)
+        net = load_model(cfg.paths.model)
+        prediction = net.forward(x)
+        lines = [f"predicted: {prediction.label}"]
+        lines += [f"  {net.class_labels[i]} {prediction.scores[i]:.12f}" for i in np.argsort(prediction.scores)[::-1]]
+        return "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6], ids=["default_switching", "frequent_switching"])
+    def test_stdout_equals_the_sequential_steps(self, workspace, capsys, switch_interval):
+        tmp_path, cfg = workspace
+        depths = sorted((tmp_path / "data" / "images").glob("*_depth.pgm"))[::37][:5]
+        expected = [self.sequential_stdout(cfg, d, Path(str(d).replace("_depth", "_intensity"))) for d in depths]
+        assert len(set(expected)) > 1  # the captures are told apart
+        old = sys.getswitchinterval()
+        if switch_interval is not None:
+            sys.setswitchinterval(switch_interval)
+        try:
+            for depth, text in zip(depths, expected):
+                intensity = Path(str(depth).replace("_depth", "_intensity"))
+                assert main(["predict", "--config", str(cfg), str(depth), str(intensity)]) == 0
+                assert capsys.readouterr().out == text
+        finally:
+            sys.setswitchinterval(old)
+
+    @pytest.fixture
+    def predict_args(self, workspace, tmp_path):
+        """``predict``'s arguments after the config, for a good call and for each kind of fault."""
+        ws_path, _ = workspace
+        depth = next((ws_path / "data" / "images").glob("*_depth.pgm"))
+        good = [str(depth), str(depth).replace("_depth", "_intensity")]
+        zero = [str(tmp_path / "zero_depth.pgm"), str(tmp_path / "zero_intensity.pgm")]
+        write_pgm(zero[0], np.zeros((64, 64), dtype=np.uint16))
+        write_pgm(zero[1], np.zeros((64, 64), dtype=np.uint8))
+        header = json.dumps({"layers": [[-2, -3]], "class_labels": list(STATIC_LETTERS)}).encode()
+        (tmp_path / "bad.hsdbn").write_bytes(b"HSDBN1" + len(header).to_bytes(4, "little") + header + bytes(48))
+        net = load_model(ws_path / "out" / "model.hsdbn")
+        net.rbm_layers[0].weights[:] = np.nan
+        save_model(net, tmp_path / "nan.hsdbn")
+        bad_model = ["--model", str(tmp_path / "bad.hsdbn")]
+        return {
+            "success": good,
+            "missing_image": [str(tmp_path / "nope_depth.pgm"), good[1]],
+            "missing_model": ["--model", str(tmp_path / "nope.hsdbn"), *good],
+            "zero_depth": zero,
+            "bad_model": bad_model + good,
+            "bad_model_and_zero_depth": bad_model + zero,
+            "nan_model": ["--model", str(tmp_path / "nan.hsdbn"), *good],
+        }
+
+    @pytest.mark.parametrize("case, code", [
+        ("success", 0), ("missing_image", 3), ("missing_model", 3), ("zero_depth", 3),
+        ("bad_model", 3), ("bad_model_and_zero_depth", 3), ("nan_model", 4),
+    ])
+    def test_no_thread_outlives_the_call(self, workspace, predict_args, case, code):
+        _, cfg = workspace
+        before = threading.active_count()
+        assert main(["predict", "--config", str(cfg), *predict_args[case]]) == code
+        assert threading.active_count() == before
+
+    def test_model_loads_on_the_calling_thread_and_capture_on_another(self, workspace, monkeypatch, predict_args):
+        # a model loaded on the helper takes that thread's own malloc arena, which raises the peak RSS
+        _, cfg = workspace
+        threads = {}
+        real_load, real_extract = cli.dbn_mod.load_model, cli._extract
+
+        def load_model_on(path):
+            threads["load_model"] = threading.get_ident()
+            return real_load(path)
+
+        def extract_on(*args):
+            threads["extract"] = threading.get_ident()
+            return real_extract(*args)
+
+        monkeypatch.setattr(cli.dbn_mod, "load_model", load_model_on)
+        monkeypatch.setattr(cli, "_extract", extract_on)
+        assert main(["predict", "--config", str(cfg), *predict_args["success"]]) == 0
+        assert threads["load_model"] == threading.get_ident()
+        assert threads["extract"] != threading.get_ident()
+
+    def test_capture_fault_is_reported_before_model_fault(self, workspace, capsys, predict_args):
+        _, cfg = workspace
+        messages = {}
+        for case in ("bad_model", "zero_depth", "bad_model_and_zero_depth"):
+            assert main(["predict", "--config", str(cfg), *predict_args[case]]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            messages[case] = captured.err
+        assert messages["zero_depth"] == "error: depth image has no nonzero pixel\n"
+        assert messages["bad_model"] != messages["zero_depth"]
+        assert messages["bad_model_and_zero_depth"] == messages["zero_depth"]
+
 
 @pytest.fixture(scope="module")
 def one_capture_per_letter(tmp_path_factory):
@@ -629,9 +727,11 @@ class TestConfigHandling:
         assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
     def test_cli_import_leaves_out_scipy_signal(self):
-        # scipy.signal costs about 50 MB and 0.4 s of every process's start-up
+        # scipy.signal costs about 50 MB and 0.4 s of every process's start-up; scipy.fft, which only the
+        # Gabor and bar kinds use, is imported on their first filter response
         pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-        code = "import sys, fingerspell.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+        code = ("import sys, fingerspell.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.fft'))))")
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
                              check=True, capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "[]"
