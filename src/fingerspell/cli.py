@@ -163,11 +163,8 @@ def cmd_extract(cfg: RunConfig) -> int:
 # train
 
 def _train_one_model(cfg: RunConfig, x, train_rows, valid_rows):
-    """The trained network and its log rows."""
-    xt = x[[r.index for r in train_rows]]
-    yt = [r.letter for r in train_rows]
-    xv = x[[r.index for r in valid_rows]]
-    yv = [r.letter for r in valid_rows]
+    """The trained network and its log rows; rows of the float32 ``x`` are upcast once a stage reads them."""
+    xt, yt = x[[r.index for r in train_rows]].astype(np.float64), [r.letter for r in train_rows]
     log_rows = []
 
     def rbm_log(layer, epoch, err):
@@ -175,6 +172,8 @@ def _train_one_model(cfg: RunConfig, x, train_rows, valid_rows):
 
     rbms = dbn_mod.pretrain(xt, cfg.layer_sizes, cfg.rbm, on_epoch=rbm_log)
     net = dbn_mod.Dbn.from_rbms(rbms, rng=np.random.default_rng(cfg.supervised.rng_seed + 3))
+    # built only now: pretraining never reads the validation rows, so they stay out of its peak memory
+    xv, yv = x[[r.index for r in valid_rows]].astype(np.float64), [r.letter for r in valid_rows]
 
     def stage_log(stage):
         def cb(epoch, train_loss, valid_loss):

@@ -332,10 +332,10 @@ def _feature_layout(header):
 
 
 def read_features(path) -> tuple[str, np.ndarray]:
-    """Read a feature file; returns ``(kind, matrix)`` with a float64 matrix.
+    """Read a feature file; returns ``(kind, matrix)`` with the float32 matrix it stores.
 
     Raises :class:`FormatError` on a bad magic string, malformed header or
     truncated payload.
     """
     header, (matrix,) = container.read(path, FEATURE_MAGIC, "<f4", _feature_layout)
-    return header["kind"], matrix.astype(np.float64)
+    return header["kind"], matrix

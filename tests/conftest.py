@@ -1,3 +1,5 @@
+import resource
+
 import pytest
 
 
@@ -10,3 +12,9 @@ def _parameter_bytes(net):
 def models_equal():
     """Bit-exact parameter equality of two networks."""
     return lambda a, b: _parameter_bytes(a) == _parameter_bytes(b)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Log the session's peak RSS (Linux reports ``ru_maxrss`` in KiB); it gates nothing."""
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    terminalreporter.write_line(f"peak RSS of the test process: {peak_mb:.1f} MB")

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import fingerspell
 from fingerspell import cli
+from fingerspell import dataset as ds
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.cli import _load_config_with_overrides, build_parser, main
 from fingerspell.config import config_to_dict, load_config
@@ -237,6 +239,45 @@ class TestTrain:
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 3
 
+    def test_model_and_log_equal_training_on_the_float64_matrix(self, workspace, models_equal):
+        # train upcasts only the rows of the float32 matrix that a stage reads; read_features used to upcast it whole
+        tmp_path, cfg = workspace
+        run = load_config(cfg)
+        x, rows = cli._load_features(run)
+        train_rows, valid_rows, _ = ds.split_dataset(rows, run.split)
+        net, log_rows = cli._train_one_model(run, x.astype(np.float64), train_rows, valid_rows)
+        assert x.dtype == np.float32
+        assert models_equal(load_model(tmp_path / "out" / "model.hsdbn"), net)
+        with open(tmp_path / "out" / "train_log.csv", newline="") as fh:
+            logged = [row for row in csv.reader(fh) if not row[0].startswith("#")][1:]
+        assert logged == [[str(v) for v in row] for row in log_rows]
+
+    def test_pretraining_holds_neither_a_float64_matrix_nor_the_validation_rows(self, workspace, tmp_path,
+                                                                               monkeypatch):
+        cfg = copy_workspace(workspace, tmp_path)
+        run = load_config(cfg)
+        x, rows = cli._load_features(run)
+        train_rows, valid_rows, _ = ds.split_dataset(rows, run.split)
+        assert (x.shape, len(train_rows), len(valid_rows)) == ((192, 10240), 96, 48)
+        row64 = x.shape[1] * 8
+        limit = x.size * 4 + len(train_rows) * row64 + len(valid_rows) * row64 / 2  # about 17.7 MB
+        del x, rows
+        pretrain, on_entry = cli.dbn_mod.pretrain, []
+
+        def traced_pretrain(*args, **kwargs):
+            on_entry.append(tracemalloc.get_traced_memory()[0])
+            return pretrain(*args, **kwargs)
+
+        monkeypatch.setattr(cli.dbn_mod, "pretrain", traced_pretrain)
+        tracemalloc.start()
+        try:
+            assert main(["train", "--config", str(cfg)]) == 0
+        finally:
+            tracemalloc.stop()
+        # the float32 matrix and the float64 training rows (15.7 MB); with a float64 matrix and the
+        # validation rows it was 27.5 MB
+        assert len(on_entry) == 1 and on_entry[0] < limit
+
     @pytest.mark.parametrize("split, directory", [("allseen", "out/"), ("unseen", "out/model_u01.hsdbn")])
     def test_model_path_that_is_a_directory_exits_2_before_training(self, workspace, tmp_path, capsys, split,
                                                                    directory):
@@ -294,6 +335,23 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert report["total"] == 48  # one test sample per (user, letter) stratum of 4
         assert 0.0 <= report["macro_recall"] <= 1.0
+
+    def test_reports_equal_scoring_float64_rows(self, workspace, tmp_path, monkeypatch):
+        # eval scores float32 test rows, which Dbn.scores upcasts; read_features used to upcast the whole matrix
+        cfg = copy_workspace(workspace, tmp_path)
+        names = ("report.json", "report.csv", "confusion.csv")
+        assert main(["eval", "--config", str(cfg)]) == 0
+        first = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+        read = cli.read_features
+
+        def read_float64(path):
+            kind, x = read(path)
+            assert x.dtype == np.float32
+            return kind, x.astype(np.float64)
+
+        monkeypatch.setattr(cli, "read_features", read_float64)
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert {name: (tmp_path / "out" / name).read_bytes() for name in names} == first
 
     def test_unseen_averaged_report(self, tmp_path):
         cfg = write_config(tmp_path, split={"mode": "unseen"})

@@ -83,7 +83,7 @@ def test_loaded_arrays_are_writable(tmp_path):
     write_features(p, "raw", np.ones((3, 4), dtype=np.float32))
     _, x = read_features(p)
     x += 1.0
-    assert x.dtype == np.float64 and (x == 2.0).all()
+    assert x.dtype == np.float32 and (x == 2.0).all()
 
 
 json_values = st.recursive(

@@ -357,7 +357,7 @@ class TestFeatureFile:
         write_features(p, "combined", m)
         kind, back = read_features(p)
         assert kind == "combined"
-        assert back.astype(np.float32).tobytes() == m.tobytes()
+        assert back.dtype == np.float32 and back.tobytes() == m.tobytes()
         # writing the read-back matrix reproduces the file byte for byte
         p2 = tmp_path / "f2.bin"
         write_features(p2, kind, back)
