@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -275,15 +275,8 @@ def cmd_predict(cfg: RunConfig, model_path, depth_path, intensity_path) -> int:
             raise MissingFileError(f"input image not found: {p}")
     if not Path(model_path).exists():
         raise MissingFileError(f"model not found: {model_path}")
-    # The capture is read and featurized on a helper thread while this thread loads the model, whose
-    # copy releases the GIL.  Loading it on the helper would give that thread its own malloc arena
-    # for the model's buffers and raise the peak RSS.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        capture = pool.submit(_read_capture, cfg, depth_path, intensity_path)
-        try:
-            net = dbn_mod.load_model(model_path)
-        finally:
-            x = capture.result()  # so a capture fault is reported before a model fault
+    x = _read_capture(cfg, depth_path, intensity_path)  # so a capture fault is reported before a model fault
+    net = dbn_mod.load_model(model_path)
     prediction = net.forward(x)
     print(f"predicted: {prediction.label}")
     order = np.argsort(prediction.scores)[::-1]

@@ -1,14 +1,16 @@
 """Binary container shared by the feature and model files.
 
 Layout: magic bytes, a little-endian uint32 header length, a UTF-8 JSON
-object header, then raw row-major tensors of one little-endian dtype.
-The header fixes every tensor's shape, so the reader checks the sizes
-against the file length before it allocates, then reads the whole payload
-into one buffer.
+object header padded with spaces so the payload starts at a multiple of
+64 bytes, then raw row-major tensors of one little-endian dtype.  The
+header fixes every tensor's shape, so the reader checks the sizes against
+the file length before it allocates, then reads the payload into one
+buffer, or maps an aligned payload copy-on-write.
 """
 
 import json
 import math
+import mmap
 import os
 import struct
 
@@ -16,25 +18,40 @@ import numpy as np
 
 from fingerspell.errors import FormatError
 
+ALIGN = 64
+
 
 def write(path, magic: bytes, dtype, header: dict, tensors) -> None:
-    """Write ``header`` and then ``tensors``, in order, as ``dtype``."""
+    """Write ``header`` and then ``tensors``, in order, as ``dtype``, to a new file that replaces ``path``.
+
+    A process that mapped the old file keeps its data, and a failed write leaves the old file as it was.
+    """
     raw = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<I", len(raw)) + raw)
-        for a in tensors:
-            fh.write(memoryview(np.ascontiguousarray(a, dtype=dtype)))
+    raw += b" " * (-(len(magic) + 4 + len(raw)) % ALIGN)
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(magic + struct.pack("<I", len(raw)) + raw)
+            for a in tensors:
+                fh.write(memoryview(np.ascontiguousarray(a, dtype=dtype)))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def read(path, magic: bytes, dtype, layout) -> tuple[dict, list]:
+def read(path, magic: bytes, dtype, layout, mapped=False) -> tuple[dict, list]:
     """Read a container; returns ``(header, arrays)``.
 
     ``layout(header)`` yields each tensor's ``(name, shape)`` in file order
     and raises ``KeyError``, ``TypeError`` or ``ValueError`` on a malformed
-    header.  The arrays are writable views of one buffer.  Raises
-    :class:`FormatError` on a bad magic, a header that is not a JSON object,
-    a size that is not a non-negative integer, a truncated file (naming the
-    tensor where the data runs out) or trailing data.
+    header.  The arrays are writable views of one buffer: with ``mapped``
+    and an aligned payload, a private copy-on-write map of the file, which
+    no write reaches and which must not be truncated while the arrays live.
+    Raises :class:`FormatError` on a bad magic, a header that is not a JSON
+    object, a size that is not a non-negative integer, a truncated file
+    (naming the tensor where the data runs out) or trailing data.
     """
     dtype = np.dtype(dtype)
     with open(path, "rb") as fh:
@@ -56,7 +73,8 @@ def read(path, magic: bytes, dtype, layout) -> tuple[dict, list]:
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise FormatError(f"{path}: malformed header: {exc}") from exc
 
-        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        offset = fh.tell()
+        available = os.fstat(fh.fileno()).st_size - offset
         bounds = [0]
         for name, shape in tensors:
             if not all(type(d) is int and d >= 0 for d in shape):
@@ -66,7 +84,13 @@ def read(path, magic: bytes, dtype, layout) -> tuple[dict, list]:
                 raise FormatError(f"{path}: truncated tensor {name!r} (wanted {math.prod(shape)} {dtype.name} values)")
         if bounds[-1] * dtype.itemsize < available:
             raise FormatError(f"{path}: trailing data after tensors")
-        buf = np.empty(bounds[-1], dtype=dtype)
-        if fh.readinto(buf) != available:
-            raise FormatError(f"{path}: file shrank while being read")
+        if mapped and offset % ALIGN == 0:
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+            if len(buf) < offset + available:
+                raise FormatError(f"{path}: file shrank while being read")
+            buf = np.frombuffer(buf, dtype=dtype, count=bounds[-1], offset=offset)
+        else:  # also a payload written before the padding, whose mapped views would be unaligned
+            buf = np.empty(bounds[-1], dtype=dtype)
+            if fh.readinto(buf) != available:
+                raise FormatError(f"{path}: file shrank while being read")
     return header, [buf[a:b].reshape(shape) for (_, shape), a, b in zip(tensors, bounds, bounds[1:])]

@@ -393,8 +393,8 @@ def _model_layout(header):
 
 
 def load_model(path) -> Dbn:
-    """Read a model file; raises :class:`FormatError` on any corruption."""
-    header, arrays = container.read(path, MODEL_MAGIC, "<f8", _model_layout)
+    """Read a model file as copy-on-write views of its mapping; raises :class:`FormatError` on any corruption."""
+    header, arrays = container.read(path, MODEL_MAGIC, "<f8", _model_layout, mapped=True)
     per_layer = iter(arrays[:-2])  # weights, visible_bias, hidden_bias per RBM
     rbms = [Rbm(*w.shape, weights=w, visible_bias=vb, hidden_bias=hb) for w, vb, hb in zip(*[per_layer] * 3)]
     return Dbn(rbms, arrays[-2], arrays[-1], header["class_labels"])

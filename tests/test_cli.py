@@ -525,7 +525,6 @@ class TestPredict:
         assert captured.err == f"error: model not found: {nope}\n"
         assert "predicted" not in captured.out
 
-    # predict reads and featurizes the capture on a helper thread while the calling thread loads the model
     @staticmethod
     def sequential_stdout(cfg_path, depth, intensity):
         """``predict``'s stdout built one step after another on this thread."""
@@ -590,25 +589,11 @@ class TestPredict:
         assert main(["predict", "--config", str(cfg), *predict_args[case]]) == code
         assert threading.active_count() == before
 
-    def test_model_loads_on_the_calling_thread_and_capture_on_another(self, workspace, monkeypatch, predict_args):
-        # a model loaded on the helper takes that thread's own malloc arena, which raises the peak RSS
+    def test_predict_starts_no_thread(self, workspace, monkeypatch, predict_args):
+        # predict used to read the capture on a helper thread while it loaded the model; a mapped load needs no overlap
         _, cfg = workspace
-        threads = {}
-        real_load, real_extract = cli.dbn_mod.load_model, cli._extract
-
-        def load_model_on(path):
-            threads["load_model"] = threading.get_ident()
-            return real_load(path)
-
-        def extract_on(*args):
-            threads["extract"] = threading.get_ident()
-            return real_extract(*args)
-
-        monkeypatch.setattr(cli.dbn_mod, "load_model", load_model_on)
-        monkeypatch.setattr(cli, "_extract", extract_on)
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail(f"started {self.name}"))
         assert main(["predict", "--config", str(cfg), *predict_args["success"]]) == 0
-        assert threads["load_model"] == threading.get_ident()
-        assert threads["extract"] != threading.get_ident()
 
     def test_capture_fault_is_reported_before_model_fault(self, workspace, capsys, predict_args):
         _, cfg = workspace

@@ -1,11 +1,17 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fingerspell
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.dbn import MODEL_MAGIC, Dbn, load_model, save_model
 from fingerspell.errors import FormatError
@@ -18,6 +24,22 @@ READERS = {"features": (FEATURE_MAGIC, read_features), "model": (MODEL_MAGIC, lo
 def container_bytes(magic, header, payload=b""):
     raw = json.dumps(header).encode("utf-8")
     return magic + struct.pack("<I", len(raw)) + raw + payload
+
+
+def payload_offset(data, magic):
+    start = len(magic) + 4
+    return start + int.from_bytes(data[len(magic) : start], "little")
+
+
+def small_net(seed, n_classes=24):
+    rng = np.random.default_rng(seed)
+    return Dbn([Rbm(4, 3, rng=rng), Rbm(3, 2, rng=rng)], rng.normal(size=(2, n_classes)), rng.normal(size=n_classes),
+               STATIC_LETTERS[:n_classes])
+
+
+def model_arrays(net):
+    return [t for r in net.rbm_layers for t in (r.weights, r.visible_bias, r.hidden_bias)] + [
+        net.translation_w, net.translation_b]
 
 
 def parses_or_format_error(reader, path):
@@ -33,15 +55,13 @@ def valid_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("valid")
     rng = np.random.default_rng(40)
     write_features(d / "f.bin", "combined", rng.random((5, 7)).astype(np.float32))
-    net = Dbn([Rbm(4, 3, rng=rng), Rbm(3, 2, rng=rng)], rng.normal(size=(2, 24)), rng.normal(size=24))
-    save_model(net, d / "m.hsdbn")
+    save_model(small_net(40), d / "m.hsdbn")
     files = {}
     for name, path in (("features", d / "f.bin"), ("model", d / "m.hsdbn")):
         data = path.read_bytes()
         magic = READERS[name][0]
-        start = len(magic) + 4
-        end = start + int.from_bytes(data[len(magic) : start], "little")
-        files[name] = (json.loads(data[start:end]), data[end:])
+        end = payload_offset(data, magic)
+        files[name] = (json.loads(data[len(magic) + 4 : end]), data[end:])
     return files
 
 
@@ -84,6 +104,94 @@ def test_loaded_arrays_are_writable(tmp_path):
     _, x = read_features(p)
     x += 1.0
     assert x.dtype == np.float32 and (x == 2.0).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 24])
+def test_written_payload_starts_64_byte_aligned(tmp_path, n):
+    # the writer pads the header with spaces, which json.loads ignores, so a model's payload can be mapped aligned
+    save_model(small_net(n, n_classes=n), tmp_path / "m.hsdbn")
+    write_features(tmp_path / "f.bin", "raw" * n, np.ones((n, 3 * n), dtype=np.float32))
+    headers = {
+        MODEL_MAGIC: {"layers": [[4, 3], [3, 2]], "class_labels": list(STATIC_LETTERS[:n])},
+        FEATURE_MAGIC: {"kind": "raw" * n, "dim": 3 * n, "count": n},
+    }
+    for magic, name in ((MODEL_MAGIC, "m.hsdbn"), (FEATURE_MAGIC, "f.bin")):
+        data = (tmp_path / name).read_bytes()
+        end = payload_offset(data, magic)
+        raw = data[len(magic) + 4 : end]
+        assert end % 64 == 0
+        assert json.loads(raw) == headers[magic]
+        assert raw.rstrip(b" ") == json.dumps(headers[magic]).encode()
+
+
+def test_unpadded_model_loads_to_equal_aligned_arrays(tmp_path):
+    # files written before the header padding have a payload the reader cannot map aligned, so it copies it
+    p = tmp_path / "old.hsdbn"
+    save_model(small_net(45, n_classes=23), p)
+    data = p.read_bytes()
+    end = payload_offset(data, MODEL_MAGIC)
+    header, payload = json.loads(data[len(MODEL_MAGIC) + 4 : end]), data[end:]
+    data = container_bytes(MODEL_MAGIC, header, payload)
+    assert payload_offset(data, MODEL_MAGIC) % 8 != 0
+    p.write_bytes(data)
+    arrays = model_arrays(load_model(p))
+    assert b"".join(a.tobytes() for a in arrays) == payload
+    assert all(a.flags.aligned and a.flags.writeable for a in arrays)
+
+
+def test_load_model_does_not_copy_the_file(tmp_path):
+    rng = np.random.default_rng(41)
+    p = tmp_path / "big.hsdbn"
+    save_model(Dbn([Rbm(4096, 256, rng=rng)], rng.normal(size=(256, 24)), rng.normal(size=24)), p)
+    assert p.stat().st_size >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        net = load_model(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert net.rbm_layers[0].weights.flags.writeable
+
+
+def test_overwriting_a_loaded_model_keeps_its_values(tmp_path):
+    # the writer replaces the file, so a process that mapped the old one keeps reading it; writing the
+    # mapped file in place would show the new values or, if it shrank, kill the process with SIGBUS
+    p = tmp_path / "m.hsdbn"
+    save_model(small_net(42), p)
+    code = (
+        "import numpy as np\n"
+        "from fingerspell.dbn import Dbn, load_model, save_model\n"
+        f"p = {str(p)!r}\n"
+        "net = load_model(p)\n"
+        "first = load_model(p).rbm_layers[0]\n"
+        "first.weights += 1.0\n"
+        "save_model(Dbn([first], np.zeros((3, 24)), np.zeros(24)), p)\n"
+        "assert load_model(p).rbm_layers[0].weights[0, 0] != net.rbm_layers[0].weights[0, 0]\n"
+        "arrays = [t for r in net.rbm_layers for t in (r.weights, r.visible_bias, r.hidden_bias)]\n"
+        "print(b''.join(a.tobytes() for a in arrays + [net.translation_w, net.translation_b]).hex())\n"
+    )
+    pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == b"".join(a.tobytes() for a in model_arrays(small_net(42))).hex()
+
+
+def test_failed_save_leaves_the_old_file(tmp_path):
+    class Unwritable:
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("disk full")
+
+    p = tmp_path / "m.hsdbn"
+    save_model(small_net(43), p)
+    saved = p.read_bytes()
+    net = small_net(44)
+    net.rbm_layers[0].visible_bias = Unwritable()  # the second tensor written
+    with pytest.raises(OSError, match="disk full"):
+        save_model(net, p)
+    assert p.read_bytes() == saved
+    assert os.listdir(tmp_path) == ["m.hsdbn"]
 
 
 json_values = st.recursive(

@@ -465,9 +465,10 @@ class TestModelFile:
             load_model(p)
 
     def test_fine_tune_runs_on_loaded_model(self, tmp_path):
-        # loaded parameters must be writable arrays that training updates in place
+        # loaded parameters must be writable arrays that training updates in place, never in the mapped file
         p = tmp_path / "m.hsdbn"
         save_model(toy_dbn(seed=34), p)
+        saved = p.read_bytes()
         net = load_model(p)
         rng = np.random.default_rng(35)
         x = rng.random((30, 6))
@@ -475,3 +476,5 @@ class TestModelFile:
         cfg = SupervisedTrainConfig(stage3=StageConfig(learning_rate=0.05, epochs=2, batch_size=10), rng_seed=36)
         fine_tune(net, (x[:20], y[:20]), (x[20:], y[20:]), cfg)
         train_translation_layer(net, (x[:20], y[:20]), (x[20:], y[20:]), cfg)
+        assert not np.array_equal(net.rbm_layers[0].weights, load_model(p).rbm_layers[0].weights)
+        assert p.read_bytes() == saved
