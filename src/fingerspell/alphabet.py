@@ -1,7 +1,3 @@
 """The 24 static one-hand alphabet letters (J and Z are dynamic, excluded)."""
 
 STATIC_LETTERS = tuple("ABCDEFGHIKLMNOPQRSTUVWXY")
-
-LETTER_INDEX = {letter: i for i, letter in enumerate(STATIC_LETTERS)}
-
-N_CLASSES = len(STATIC_LETTERS)

@@ -8,10 +8,10 @@ train           split, pretrain the RBM stack, fit and fine-tune the net
 eval            classify the test split and write confusion/report files
 predict         classify one depth/intensity PGM pair
 
-Every command reads the same JSON config (all fields optional, flags
-override) and echoes the fully resolved configuration into the output
-directory, so a run can be reproduced from its artifacts alone.  Exit
-codes: 0 success, 2 usage/config error, 3 data error, 4 numeric failure.
+Every command reads one JSON config (all fields optional), and each flag in
+``OVERRIDES`` sets one of its fields.  All but predict echo the resolved
+config into the output directory, so a run can be reproduced from its
+artifacts alone.  Exits: 0 success, 2 usage/config, 3 data, 4 numeric.
 """
 
 import argparse
@@ -52,14 +52,26 @@ class FeatureRow:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
+# The one override rule: flag -> (config field it sets, argparse options, commands that read the field).
+OVERRIDES = {
+    "--seed": ("rng_seed", {"type": int, "help": "override the global rng seed"}, ("gen-synthetic", "train", "eval")),
+    "--workers": ("workers", {"type": int, "help": "parallel workers for feature extraction"}, ("extract",)),
+    "--feature-kind": ("feature_kind", {"choices": FEATURE_KINDS}, ("extract", "train", "eval", "predict")),
+    "--split": ("split.mode", {"choices": ["allseen", "unseen"]}, ("train", "eval")),
+    "--test-user": ("split.test_user", {}, ("train", "eval")),
+    "--model": ("paths.model", {"help": "model file (overrides paths.model)"}, ("eval", "predict")),
+}
+
+
 def _load_config_with_overrides(args) -> RunConfig:
     raw = {} if args.config is None else read_config_file(args.config)
-    for key, value in (("rng_seed", args.seed), ("workers", args.workers), ("feature_kind", args.feature_kind)):
+    for name, _, _ in OVERRIDES.values():
+        value = getattr(args, name, None)  # the flag's dest is its field; absent on commands without it
         if value is not None:
-            raw[key] = value
-    split = {key: value for key, value in (("mode", args.split), ("test_user", args.test_user)) if value is not None}
-    if split and isinstance(raw.get("split", {}), dict):  # any other value is refused by config_from_dict
-        raw["split"] = {**raw.get("split", {}), **split}
+            section, _, key = name.rpartition(".")
+            target = raw.setdefault(section, {}) if section else raw
+            if isinstance(target, dict):  # any other section value is refused by config_from_dict
+                target[key] = value
     return config_from_dict(raw)
 
 
@@ -93,16 +105,16 @@ def _load_features(cfg: RunConfig):
     return x, rows
 
 
-def _models(cfg: RunConfig, rows, model_path) -> list:
+def _models(cfg: RunConfig, rows) -> list:
     """``(split, model path, file suffix)`` of each model that train fits and eval scores.
 
     An unseen split with no test user holds out each user in turn, one model (and suffix) per user.
     """
     if cfg.split.mode == "unseen" and cfg.split.test_user is None:
-        p = Path(model_path)
+        p = Path(cfg.paths.model)
         return [(replace(cfg.split, test_user=user), p.with_name(f"{p.stem}_{user}{p.suffix}"), f"_{user}")
                 for user in sorted({r.user_id for r in rows})]
-    return [(cfg.split, Path(model_path), "")]
+    return [(cfg.split, Path(cfg.paths.model), "")]
 
 
 def _print_users(samples, prefix: str) -> None:
@@ -187,7 +199,7 @@ def _train_one_model(cfg: RunConfig, x, train_rows, valid_rows):
 
 def cmd_train(cfg: RunConfig) -> int:
     x, rows = _load_features(cfg)
-    models = _models(cfg, rows, cfg.paths.model)
+    models = _models(cfg, rows)
     for _, model_path, _ in models:
         if model_path.is_dir():
             raise ConfigError(f"model path {model_path} is a directory")
@@ -221,11 +233,11 @@ def cmd_train(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-def cmd_eval(cfg: RunConfig, model_path=None) -> int:
+def cmd_eval(cfg: RunConfig) -> int:
     x, rows = _load_features(cfg)
     _echo_config(cfg)
     out = Path(cfg.paths.output_dir)
-    models = _models(cfg, rows, cfg.paths.model if model_path is None else model_path)
+    models = _models(cfg, rows)
     reports = {}  # held-out user (None for a single model) -> report
     for spec, path, suffix in models:
         if not path.exists():
@@ -268,15 +280,14 @@ def _read_capture(cfg: RunConfig, depth_path, intensity_path):
     return _extract(cfg, depth.astype(np.int32), intensity)
 
 
-def cmd_predict(cfg: RunConfig, model_path, depth_path, intensity_path) -> int:
-    model_path = cfg.paths.model if model_path is None else model_path
+def cmd_predict(cfg: RunConfig, depth_path, intensity_path) -> int:
     for p in (depth_path, intensity_path):
         if not Path(p).exists():
             raise MissingFileError(f"input image not found: {p}")
-    if not Path(model_path).exists():
-        raise MissingFileError(f"model not found: {model_path}")
+    if not Path(cfg.paths.model).exists():
+        raise MissingFileError(f"model not found: {cfg.paths.model}")
     x = _read_capture(cfg, depth_path, intensity_path)  # so a capture fault is reported before a model fault
-    net = dbn_mod.load_model(model_path)
+    net = dbn_mod.load_model(cfg.paths.model)
     prediction = net.forward(x)
     print(f"predicted: {prediction.label}")
     order = np.argsort(prediction.scores)[::-1]
@@ -294,32 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fingerspell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(command, help_text):
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--seed", type=int, help="override the global rng seed")
-        p.add_argument("--workers", type=int, help="parallel workers for feature extraction")
-        p.add_argument("--feature-kind", dest="feature_kind", choices=FEATURE_KINDS)
-        p.add_argument("--split", choices=["allseen", "unseen"])
-        p.add_argument("--test-user", dest="test_user")
+        for flag, (name, options, readers) in OVERRIDES.items():
+            if command in readers:
+                p.add_argument(flag, dest=name, **options)
+        return p
 
-    p = sub.add_parser("gen-synthetic", help="generate a synthetic dataset")
-    common(p)
+    p = add("gen-synthetic", "generate a synthetic dataset")
     p.add_argument("--users", type=int, default=3)
     p.add_argument("--per-class", dest="per_class", type=int, default=10)
-
-    p = sub.add_parser("extract", help="extract feature vectors from the manifest")
-    common(p)
-
-    p = sub.add_parser("train", help="train the network on extracted features")
-    common(p)
-
-    p = sub.add_parser("eval", help="evaluate a trained model on the test split")
-    common(p)
-    p.add_argument("--model", help="model file (defaults to config paths.model)")
-
-    p = sub.add_parser("predict", help="classify one depth/intensity pair")
-    common(p)
-    p.add_argument("--model", help="model file (defaults to config paths.model)")
+    add("extract", "extract feature vectors from the manifest")
+    add("train", "train the network on extracted features")
+    add("eval", "evaluate a trained model on the test split")
+    p = add("predict", "classify one depth/intensity pair")
     p.add_argument("depth", help="depth PGM (16-bit, mm)")
     p.add_argument("intensity", help="intensity PGM (8-bit)")
     return parser
@@ -336,8 +336,8 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "eval":
-            return cmd_eval(cfg, args.model)
-        return cmd_predict(cfg, args.model, args.depth, args.intensity)  # the subcommand is required
+            return cmd_eval(cfg)
+        return cmd_predict(cfg, args.depth, args.intensity)  # the subcommand is required
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

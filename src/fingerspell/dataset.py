@@ -31,7 +31,6 @@ MIN_SIDE = 32
 MAX_SIDE = 256
 
 SYNTH_SIZE = 100          # generated images are 100x100
-SYNTH_MAX_DEPTH = 120     # hand structure stays within the default t
 
 
 @dataclass
@@ -78,8 +77,9 @@ def read_rows(path, what: str, columns=()):
     ``where`` is ``path:line``; ``user`` and ``letter`` come stripped.
     ``what`` names the file in errors: :class:`MissingFileError` when it is
     absent, :class:`FormatError` for text that is not UTF-8, malformed CSV, a
-    header without every column or a row with fewer fields than the header,
-    and :class:`UnknownLetterError` for a letter outside the static alphabet.
+    header without every column, a row with fewer fields than the header or
+    a user holding ``/``, ``\\`` or NUL (a user names model files), and
+    :class:`UnknownLetterError` for a letter outside the static alphabet.
     The whole file is read before the first row is checked.
     """
     path = Path(path)
@@ -100,6 +100,8 @@ def read_rows(path, what: str, columns=()):
         if any(rec[key] is None for key in required):
             raise FormatError(f"{where}: row has fewer fields than the header")
         rec["user"], rec["letter"] = rec["user"].strip(), rec["letter"].strip()
+        if any(c in rec["user"] for c in "/\\\0"):
+            raise FormatError(f"{where}: user {rec['user']!r} holds '/', '\\' or NUL")
         if rec["letter"] not in STATIC_LETTERS:
             raise UnknownLetterError(f"{where}: letter {rec['letter']!r} is not a static alphabet letter")
         yield where, rec

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import operator
 import os
 import shutil
 import subprocess
@@ -638,13 +639,15 @@ class TestParserReuse:
         p = write_config(tmp_path)
         configs = []
         monkeypatch.setattr(cli, "cmd_train", lambda cfg: configs.append(cfg) or 0)
-        flags = ["--seed", "9", "--workers", "2", "--split", "unseen", "--test-user", "u1"]
-        assert main(["train", "--config", str(p)] + flags) == 0
+        monkeypatch.setattr(cli, "cmd_extract", lambda cfg: configs.append(cfg) or 0)
+        assert main(["extract", "--config", str(p), "--workers", "2"]) == 0
+        assert main(["train", "--config", str(p), "--seed", "9", "--split", "unseen", "--test-user", "u1"]) == 0
+        assert main(["extract", "--config", str(p)]) == 0
         assert main(["train", "--config", str(p)]) == 0
-        first, second = [(c.rng_seed, c.workers, c.split.mode, c.split.test_user) for c in configs]
-        assert first == (9, 2, "unseen", "u1")
-        assert second == (77, 1, "allseen", None)
-        assert configs[1] == load_config(p)
+        fields = [(c.rng_seed, c.workers, c.split.mode, c.split.test_user) for c in configs]
+        assert fields[:2] == [(77, 2, "allseen", None), (9, 1, "unseen", "u1")]
+        assert fields[2:] == [(77, 1, "allseen", None)] * 2
+        assert configs[2] == configs[3] == load_config(p)
 
     def test_usage_error_leaves_the_next_call_unchanged(self, workspace, capsys):
         _, cfg = workspace
@@ -673,6 +676,91 @@ class TestParserReuse:
         built.clear()
         assert main(argv) == 0
         assert built == []
+
+
+# the override flags each command takes, beside --config; every other pair is refused
+OVERRIDE_FLAGS = {
+    "gen-synthetic": {"--seed"},
+    "extract": {"--workers", "--feature-kind"},
+    "train": {"--seed", "--feature-kind", "--split", "--test-user"},
+    "eval": {"--seed", "--feature-kind", "--split", "--test-user", "--model"},
+    "predict": {"--feature-kind", "--model"},
+}
+# flag -> (its argument, the config field it sets, the field's value); the config below reads otherwise
+OVERRIDE_VALUES = {
+    "--seed": ("9", "rng_seed", 9),
+    "--workers": ("2", "workers", 2),
+    "--feature-kind": ("raw", "feature_kind", "raw"),
+    "--split": ("allseen", "split.mode", "allseen"),
+    "--test-user": ("u1", "split.test_user", "u1"),
+    "--model": ("other.hsdbn", "paths.model", "other.hsdbn"),
+}
+CAPTURE_ARGS = {"predict": ["depth.pgm", "intensity.pgm"]}
+
+
+class TestOverrideFlags:
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in OVERRIDE_FLAGS for f in sorted(OVERRIDE_VALUES)
+                                               if f not in OVERRIDE_FLAGS[c]])
+    def test_flag_of_a_field_the_command_does_not_read_exits_2(self, tmp_path, monkeypatch, capsys, command, flag):
+        monkeypatch.chdir(tmp_path)
+        p = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(p), flag, OVERRIDE_VALUES[flag][0]] + CAPTURE_ARGS.get(command, []))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in OVERRIDE_FLAGS for f in sorted(OVERRIDE_FLAGS[c])])
+    def test_flag_sets_its_field(self, tmp_path, monkeypatch, command, flag):
+        p = write_config(tmp_path, split={"mode": "unseen"})
+        configs = []
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda cfg, *rest: configs.append(cfg) or 0)
+        arg, field, value = OVERRIDE_VALUES[flag]
+        assert main([command, "--config", str(p)] + CAPTURE_ARGS.get(command, [])) == 0
+        assert main([command, "--config", str(p), flag, arg] + CAPTURE_ARGS.get(command, [])) == 0
+        default, overridden = (operator.attrgetter(field)(c) for c in configs)
+        assert default != value and overridden == value
+        assert configs[0] == load_config(p)
+
+    def test_parser_takes_the_config_and_the_override_flags_only(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        total = 0
+        for command, parser in subparsers.choices.items():
+            flags = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+            own = {"--users", "--per-class"} if command == "gen-synthetic" else set()
+            assert flags == {"--config"} | OVERRIDE_FLAGS[command] | own
+            total += len(flags)
+        assert total == 21
+
+    def test_eval_model_flag_is_echoed_as_paths_model(self, workspace, tmp_path, capsys):
+        cfg = copy_workspace(workspace, tmp_path)
+        other = tmp_path / "other.hsdbn"
+        shutil.copy(tmp_path / "out" / "model.hsdbn", other)
+        (tmp_path / "out" / "model.hsdbn").unlink()
+        assert main(["eval", "--config", str(cfg), "--model", str(other)]) == 0
+        assert "allseen:" in capsys.readouterr().out
+        assert json.loads((tmp_path / "out" / "config.effective.json").read_text())["paths"]["model"] == str(other)
+
+
+@pytest.mark.parametrize("char", ["/", "\\", "\0"], ids=["slash", "backslash", "nul"])
+@pytest.mark.parametrize("command", ["extract", "train", "eval"])
+def test_user_with_a_path_character_exits_3(workspace, tmp_path, capsys, command, char):
+    # a user names the per-user model files, so a path character is a fault of the data, not of the config
+    if command == "extract":
+        cfg = write_config(tmp_path)
+        assert main(["gen-synthetic", "--config", str(cfg), "--users", "1", "--per-class", "1"]) == 0
+        table, flags = tmp_path / "data" / "manifest.csv", []
+    else:
+        cfg = copy_workspace(workspace, tmp_path)
+        table, flags = tmp_path / "out" / "labels.csv", ["--split", "unseen"]  # one model per user
+    lines = [line.split(",") for line in table.read_text().split("\n")]
+    lines[1][lines[0].index("user")] = f"u0{char}0"
+    table.write_text("\n".join(",".join(line) for line in lines))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)] + flags) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{table}:2: user" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists() and not list((tmp_path / "out").glob("model_*"))
 
 
 # each of these used to extract without complaint (exit 0, NaN or all-zero
@@ -839,8 +927,9 @@ class TestConfigFile:
     def test_faulty_file_exits_2(self, tmp_path, capsys, name):
         p = tmp_path / "run.json"
         p.write_bytes(FAULTY_CONFIG_FILES[name])
-        for command in (["extract"], ["train"], ["gen-synthetic", "--users", "1", "--per-class", "1"]):
-            assert main(command + ["--config", str(p), "--split", "allseen"]) == 2
+        for command in (["extract", "--feature-kind", "combined"], ["train", "--split", "allseen"],
+                        ["gen-synthetic", "--seed", "1", "--users", "1", "--per-class", "1"]):
+            assert main(command + ["--config", str(p)]) == 2
             assert "config error" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
@@ -856,10 +945,12 @@ class TestConfigFile:
 
     def test_flags_override_the_file(self, tmp_path):
         p = write_config(tmp_path, split={"mode": "allseen", "rng_seed": 4})
-        args = build_parser().parse_args(["train", "--config", str(p), "--seed", "9", "--workers", "2",
-                                          "--feature-kind", "raw", "--split", "unseen", "--test-user", "u1"])
+        args = build_parser().parse_args(["train", "--config", str(p), "--seed", "9", "--feature-kind", "raw",
+                                          "--split", "unseen", "--test-user", "u1"])
         cfg = _load_config_with_overrides(args)
-        assert (cfg.rng_seed, cfg.workers, cfg.feature_kind) == (9, 2, "raw")
+        workers = _load_config_with_overrides(build_parser().parse_args(["extract", "--config", str(p),
+                                                                         "--workers", "2"])).workers
+        assert (cfg.rng_seed, workers, cfg.feature_kind) == (9, 2, "raw")
         assert (cfg.split.mode, cfg.split.test_user, cfg.split.rng_seed) == ("unseen", "u1", 4)
         assert cfg.layer_sizes == (30, 20)
 
@@ -875,6 +966,7 @@ flag_values = {
     "--feature-kind": st.sampled_from(["combined", "raw", "gabor", "bar"]),
     "--split": st.sampled_from(["allseen", "unseen"]),
     "--test-user": st.text(st.characters(codec="ascii", exclude_characters="-"), min_size=1, max_size=4),
+    "--model": st.text(st.characters(codec="ascii", exclude_characters="-"), min_size=1, max_size=4),
 }
 
 
@@ -886,14 +978,17 @@ def fuzz_config(tmp_path_factory):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    config_json | st.dictionaries(st.sampled_from(["split", "rng_seed", "workers", "feature_kind"]), config_json),
+    config_json | st.dictionaries(st.sampled_from(["split", "rng_seed", "workers", "feature_kind", "paths"]),
+                                  config_json),
+    st.sampled_from(sorted(OVERRIDE_FLAGS)),
     st.data(),
 )
-def test_fuzz_config_file_with_flag_overrides(fuzz_config, raw, data):
+def test_fuzz_config_file_with_flag_overrides(fuzz_config, raw, command, data):
     fuzz_config.write_text(json.dumps(raw))
-    argv = ["extract", "--config", str(fuzz_config)]
-    for flag in data.draw(st.lists(st.sampled_from(sorted(flag_values)), unique=True)):
+    argv = [command, "--config", str(fuzz_config)]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(OVERRIDE_FLAGS[command])), unique=True)):
         argv += [flag, data.draw(flag_values[flag])]
+    argv += ["depth.pgm", "intensity.pgm"] if command == "predict" else []
     try:
         _load_config_with_overrides(build_parser().parse_args(argv))
     except ConfigError:
