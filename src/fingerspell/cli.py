@@ -129,9 +129,13 @@ def _print_users(samples, prefix: str) -> None:
 def cmd_gen_synthetic(cfg: RunConfig, n_users: int, per_class: int) -> int:
     if n_users < 1 or per_class < 1:
         raise ConfigError("--users and --per-class must be >= 1")
+    manifest = Path(cfg.paths.manifest)
+    if manifest.is_dir():
+        raise IsADirectoryError(f"manifest path {manifest} is a directory")
+    _echo_config(cfg)  # both output directories are made, or refused, before any capture is rendered
+    (manifest.parent / "images").mkdir(parents=True, exist_ok=True)
     samples = ds.gen_synthetic(n_users, per_class, cfg.rng_seed)
-    manifest = ds.write_dataset(cfg.paths.manifest, samples)
-    _echo_config(cfg)
+    ds.write_dataset(manifest, samples)
     print(f"wrote {len(samples)} samples to {manifest}")
     _print_users(samples, "  ")
     return EXIT_OK

@@ -196,6 +196,8 @@ def split_dataset(samples, spec: SplitSpec):
 
 _TEMPLATE_SALT = 611953
 _DEPTH_BINS = np.array([4.0, 24.0, 44.0, 64.0, 84.0])   # inside the 20 mm slices
+_YY, _XX = np.mgrid[0:SYNTH_SIZE, 0:SYNTH_SIZE].astype(np.float64)  # pixel coordinates, read-only
+_YY.flags.writeable = _XX.flags.writeable = False
 
 
 def _letter_template(letter_idx: int) -> dict:
@@ -240,18 +242,25 @@ def _user_params(rng_seed: int, user_idx: int) -> dict:
     }
 
 
-def _capsule_mask(xx, yy, cx, cy, angle, length, width):
-    # distance to the segment of given length through (cx, cy) at `angle`
-    dx, dy = xx - cx, yy - cy
+def _window(cx, cy, reach):
+    # the frame slice within `reach` + 1 px of (cx, cy), maybe empty.  A part (scale > 0) has no pixel
+    # outside its window, and inside it each pixel gets a full-frame test's arithmetic: the same bytes
+    cut = lambda v: min(max(int(v), 0), SYNTH_SIZE)
+    return np.s_[cut(cy - reach - 1):cut(cy + reach + 2), cut(cx - reach - 1):cut(cx + reach + 2)]
+
+
+def _capsule_mask(cx, cy, angle, length, width):
+    # distance to the segment of given length through (cx, cy) at `angle`, within its window
+    win = _window(cx, cy, length / 2 + width)
+    dx, dy = _XX[win] - cx, _YY[win] - cy
     ux, uy = np.cos(angle), np.sin(angle)
     along = np.clip(dx * ux + dy * uy, -length / 2, length / 2)
-    return (dx - along * ux) ** 2 + (dy - along * uy) ** 2 <= width ** 2
+    return win, (dx - along * ux) ** 2 + (dy - along * uy) ** 2 <= width ** 2
 
 
 def _render_sample(letter_idx: int, user: dict, rng: np.random.Generator):
     tpl = _TEMPLATES[letter_idx]
     size = SYNTH_SIZE
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
 
     scale = user["scale"] * rng.uniform(0.96, 1.04)
     rot = user["rotation"] + rng.uniform(-0.05, 0.05)
@@ -261,19 +270,21 @@ def _render_sample(letter_idx: int, user: dict, rng: np.random.Generator):
     depth_off = np.full((size, size), np.inf)
     intensity = np.zeros((size, size))
 
-    def paint(mask, d, value):
-        closer = mask & (d < depth_off)
-        depth_off[closer] = d
-        intensity[closer] = value
+    def paint(win, mask, d, value):
+        closer = mask & (d < depth_off[win])
+        depth_off[win][closer] = d
+        intensity[win][closer] = value
 
     # palm
     pa, pb = tpl["palm_axes"]
     ca, sa = np.cos(rot), np.sin(rot)
+    win = _window(cx, cy, max(pa, pb) * scale)
+    xx, yy = _XX[win], _YY[win]
     rx = (xx - cx) * ca + (yy - cy) * sa
     ry = -(xx - cx) * sa + (yy - cy) * ca
     palm = (rx / (pa * scale)) ** 2 + (ry / (pb * scale)) ** 2 <= 1.0
     skew = user["depth_skew"]
-    paint(palm, tpl["palm_depth"] + skew[-1] + rng.uniform(-3.0, 3.0), tpl["palm_intensity"])
+    paint(win, palm, tpl["palm_depth"] + skew[-1] + rng.uniform(-3.0, 3.0), tpl["palm_intensity"])
 
     # fingers radiate from the palm edge
     for j, angle in enumerate(tpl["finger_angles"]):
@@ -281,16 +292,16 @@ def _render_sample(letter_idx: int, user: dict, rng: np.random.Generator):
         dist = (pb * scale) + tpl["finger_len"][j] * scale / 2 - 2.0
         fx = cx + np.cos(a) * dist
         fy = cy + np.sin(a) * dist
-        mask = _capsule_mask(xx, yy, fx, fy, a, tpl["finger_len"][j] * scale, tpl["finger_width"][j] * scale)
+        win, mask = _capsule_mask(fx, fy, a, tpl["finger_len"][j] * scale, tpl["finger_width"][j] * scale)
         bin_idx = int(np.argmin(np.abs(_DEPTH_BINS - tpl["finger_depth"][j])))
         d = tpl["finger_depth"][j] + skew[bin_idx] + rng.uniform(-3.0, 3.0)
-        paint(mask, max(d, 1.0), tpl["finger_intensity"][j])
+        paint(win, mask, max(d, 1.0), tpl["finger_intensity"][j])
 
     # thumb bar
     a = tpl["thumb_angle"] + rot + user["angle_skew"][5]
     dist = (pa * scale) + tpl["thumb_len"] * scale / 2 - 2.0
-    mask = _capsule_mask(xx, yy, cx + np.cos(a) * dist, cy + np.sin(a) * dist, a, tpl["thumb_len"] * scale, 4.5 * scale)
-    paint(mask, max(tpl["thumb_depth"] + rng.uniform(-3.0, 3.0), 1.0), tpl["thumb_intensity"])
+    win, mask = _capsule_mask(cx + np.cos(a) * dist, cy + np.sin(a) * dist, a, tpl["thumb_len"] * scale, 4.5 * scale)
+    paint(win, mask, max(tpl["thumb_depth"] + rng.uniform(-3.0, 3.0), 1.0), tpl["thumb_intensity"])
 
     hand = np.isfinite(depth_off)
     base = user["depth_base"]
@@ -302,8 +313,8 @@ def _render_sample(letter_idx: int, user: dict, rng: np.random.Generator):
     depth[dropouts] = 0
     depth = np.clip(np.rint(depth), 0, 65535).astype(np.int32)
 
-    # background clutter the mask must remove
-    gx = 30 + 22 * np.sin(xx / 17.0 + rng.uniform(0, 6.28)) + 18 * np.cos(yy / 23.0 + rng.uniform(0, 6.28))
+    # background clutter the mask must remove: a row term plus a column term
+    gx = 30 + 22 * np.sin(_XX[0] / 17.0 + rng.uniform(0, 6.28)) + 18 * np.cos(_YY[:, :1] / 23.0 + rng.uniform(0, 6.28))
     img = gx + rng.normal(0.0, 6.0, intensity.shape)
     img[hand] = intensity[hand] * user["intensity_gain"] + rng.normal(0.0, 7.0, int(hand.sum()))
     img = np.clip(np.rint(img), 0, 255).astype(np.uint8)

@@ -269,8 +269,8 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
     ``on_epoch(epoch, train_loss, valid_loss)``.
 
     One helper thread makes the next batch's draws (:func:`_draws`) while
-    this thread trains on the current batch; the draws, not the
-    arithmetic, are the long part.  Only the helper draws from ``rng``, in
+    this thread trains on the current batch, so the draws hide behind the
+    batch's arithmetic.  Only the helper draws from ``rng``, in
     the order a sequential loop would, so the parameters do not depend on
     the timing.  The pool has a second thread for half of every weight
     step (:func:`param_step`), so a half never waits behind the draws.

@@ -97,6 +97,27 @@ class TestGenSynthetic:
         cfg = write_config(tmp_path)
         assert main(["gen-synthetic", "--config", str(cfg), "--users", "1", "--per-class", "0"]) == 2
 
+    @pytest.mark.parametrize("blocked", ["output_dir", "manifest"])
+    def test_unusable_output_path_exits_3_before_rendering(self, tmp_path, capsys, monkeypatch, blocked):
+        # this used to render and write the dataset, then exit 3 with "File exists" or "Is a directory"
+        cfg = write_config(tmp_path)
+        if blocked == "output_dir":
+            path = tmp_path / "out"
+            path.write_text("")
+        else:
+            path = tmp_path / "data" / "manifest.csv"
+            path.mkdir(parents=True)
+
+        def render(*args):
+            raise AssertionError("rendered a capture")
+
+        monkeypatch.setattr(ds, "_render_sample", render)
+        assert main(["gen-synthetic", "--config", str(cfg), "--users", "1", "--per-class", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and str(path) in err
+        assert not list(tmp_path.rglob("*.pgm")) and not (tmp_path / "data" / "images").exists()
+        assert not (tmp_path / "data" / "manifest.csv").is_file()
+
 
 class TestExtract:
     def test_combined_dimensions(self, workspace):
