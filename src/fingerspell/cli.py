@@ -179,26 +179,41 @@ def cmd_extract(cfg: RunConfig) -> int:
 # train
 
 def _train_one_model(cfg: RunConfig, x, train_rows, valid_rows):
-    """The trained network and its log rows; rows of the float32 ``x`` are upcast once a stage reads them."""
-    xt, yt = x[[r.index for r in train_rows]].astype(np.float64), [r.letter for r in train_rows]
+    """The trained network and its log rows; every stage reads the rows of the float32 ``x`` by index."""
+    train = x, [r.letter for r in train_rows], np.array([r.index for r in train_rows])
+    valid = x, [r.letter for r in valid_rows], np.array([r.index for r in valid_rows])
     log_rows = []
 
     def rbm_log(layer, epoch, err):
         log_rows.append((f"rbm{layer + 1}", epoch, "", "", f"{err:.6f}"))
 
-    rbms = dbn_mod.pretrain(xt, cfg.layer_sizes, cfg.rbm, on_epoch=rbm_log)
+    rbms = dbn_mod.pretrain(x, cfg.layer_sizes, cfg.rbm, on_epoch=rbm_log, rows=train[2])
     net = dbn_mod.Dbn.from_rbms(rbms, rng=np.random.default_rng(cfg.supervised.rng_seed + 3))
-    # built only now: pretraining never reads the validation rows, so they stay out of its peak memory
-    xv, yv = x[[r.index for r in valid_rows]].astype(np.float64), [r.letter for r in valid_rows]
 
     def stage_log(stage):
         def cb(epoch, train_loss, valid_loss):
             log_rows.append((stage, epoch, f"{train_loss:.6f}", f"{valid_loss:.6f}", ""))
         return cb
 
-    dbn_mod.train_translation_layer(net, (xt, yt), (xv, yv), cfg.supervised, on_epoch=stage_log("stage2"))
-    dbn_mod.fine_tune(net, (xt, yt), (xv, yv), cfg.supervised, on_epoch=stage_log("stage3"))
+    dbn_mod.train_translation_layer(net, train, valid, cfg.supervised, on_epoch=stage_log("stage2"))
+    dbn_mod.fine_tune(net, train, valid, cfg.supervised, on_epoch=stage_log("stage3"))
     return net, log_rows
+
+
+def _release_freed_heap() -> None:
+    """Return the heap pages that training freed to the OS (glibc's ``malloc_trim``; a no-op elsewhere).
+
+    Otherwise they stay resident, and a later ``eval`` or ``predict`` in
+    the same process maps its model file on top of them.
+    """
+    import ctypes  # only train pays for the import
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc, or no process handle on this platform
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -231,6 +246,7 @@ def cmd_train(cfg: RunConfig) -> int:
             writer.writerow(["stage", "epoch", "train_loss", "valid_loss", "recon_error"])
             writer.writerows(log_rows)
         print(f"saved {model_path}")
+    _release_freed_heap()
     return EXIT_OK
 
 

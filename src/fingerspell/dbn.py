@@ -24,7 +24,7 @@ from fingerspell.errors import (
     NumericError,
     check_fields,
 )
-from fingerspell.rbm import Rbm, RbmTrainConfig, StepScratch, param_step, train_rbm
+from fingerspell.rbm import Rbm, RbmTrainConfig, StepScratch, copy_rows, param_step, train_rbm
 
 DEFAULT_LAYER_SIZES = (1500, 700, 400)
 
@@ -87,6 +87,13 @@ def forward_all(layers, x: np.ndarray) -> list:
     return activations
 
 
+def top_activation(layers, x: np.ndarray) -> np.ndarray:
+    """``forward_all(layers, x)[-1]``, holding only the current activation: each is dropped once the next is made."""
+    for rbm in layers:
+        x = rbm.hidden_probabilities(x)
+    return x
+
+
 class Dbn:
     """Feed-forward classifier assembled from pretrained RBM layers."""
 
@@ -117,11 +124,15 @@ class Dbn:
         return self.rbm_layers[0].n_visible if self.rbm_layers else self.translation_w.shape[0]
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities for a vector or a batch."""
-        x = np.asarray(x, dtype=np.float64)
+        """Softmax class probabilities for a vector or a batch.
+
+        A float64 copy of a float32 ``x`` lives only until the first layer's activations exist.
+        """
+        x = np.asarray(x)
         if x.shape[-1] != self.input_dim:
             raise DimensionMismatchError(f"input length {x.shape[-1]} != {self.input_dim}")
-        return softmax(forward_all(self.rbm_layers, x)[-1] @ self.translation_w + self.translation_b)
+        top = top_activation(self.rbm_layers, x.astype(np.float64, copy=False))
+        return softmax(top @ self.translation_w + self.translation_b)
 
     def forward(self, x: np.ndarray) -> Prediction:
         """Classify one feature vector."""
@@ -132,24 +143,28 @@ class Dbn:
 # ---------------------------------------------------------------------------
 # greedy pretraining
 
-def pretrain(features: np.ndarray, layer_sizes, cfg: RbmTrainConfig, on_epoch=None) -> list:
+def pretrain(features: np.ndarray, layer_sizes, cfg: RbmTrainConfig, on_epoch=None, rows=None) -> list:
     """Train the RBM chain: each layer learns the previous layer's activations.
 
     Layer ``i`` trains with ``cfg`` and the seed ``cfg.rng_seed + i``.
     ``on_epoch(layer_index, epoch, recon_error)`` reports progress.
-    Returns the list of trained RBMs.
+    Returns the list of trained RBMs.  ``rows`` selects the training rows
+    of ``features`` (all when None): the first layer reads them by index
+    (:func:`train_rbm`), and the second layer's input comes from a float64
+    copy that lives only for that one product.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[0] == 0:
+    data = np.atleast_2d(np.asarray(features))
+    if (data.shape[0] if rows is None else len(rows)) == 0:
         raise EmptyDataError("pretraining data is empty")
 
     rbms = []
-    data = features
     for i, size in enumerate(layer_sizes):
         cb = (lambda e, err, _i=i: on_epoch(_i, e, err)) if on_epoch is not None else None
-        rbm = train_rbm(data, replace(cfg, rng_seed=cfg.rng_seed + i), n_hidden=size, on_epoch=cb)
+        rbm = train_rbm(data, replace(cfg, rng_seed=cfg.rng_seed + i), n_hidden=size, on_epoch=cb, rows=rows)
         rbms.append(rbm)
-        data = rbm.hidden_probabilities(data)
+        if i + 1 < len(layer_sizes):  # the last layer's activations feed nothing
+            data = rbm.hidden_probabilities(data if rows is None else copy_rows(data, rows))
+            rows = None
     return rbms
 
 
@@ -224,16 +239,19 @@ def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray):
 # supervised stages
 
 def _validate_labeled(data, dbn):
-    x, labels = data
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 0:
+    """``(x, y, rows)`` of ``(features, labels)`` or ``(features, labels, rows)``: ``x`` as stored, the class
+    indices, and the rows of ``x`` that the labels belong to (all rows when not given)."""
+    x, labels, rows = data if len(data) == 3 else (*data, None)
+    x = np.atleast_2d(np.asarray(x))
+    rows = np.arange(x.shape[0]) if rows is None else np.asarray(rows)
+    if len(rows) == 0:
         raise EmptyDataError("labeled feature set is empty")
     if x.shape[1] != dbn.input_dim:
         raise DimensionMismatchError(f"feature width {x.shape[1]} != network input {dbn.input_dim}")
     y = labels_to_indices(labels, dbn.class_labels)
-    if len(y) != x.shape[0]:
+    if len(y) != len(rows):
         raise DimensionMismatchError("feature rows and labels differ in count")
-    return x, y
+    return x, y, rows
 
 
 def _draws(n, s: StageConfig, rng, noise):
@@ -279,30 +297,31 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
     NaN that appears mid-epoch makes the next batch's class scores NaN, and
     :func:`softmax` raises there.
     """
-    (xt, yt), (xv, yv) = train, valid
+    (xt, yt, rt), (xv, yv, rv) = train, valid
+    n = len(rt)
     params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
     decay = [s.l2_coeff, None] * (len(params) // 2)
     velocity = [np.zeros_like(p) for p in params]
     scratch = StepScratch()
-    noise = np.empty((2, min(s.batch_size, xt.shape[0]), xt.shape[1])) if s.input_noise_sigma > 0 else None
-    draws = _draws(xt.shape[0], s, rng, noise)
+    noise = np.empty((2, min(s.batch_size, n), xt.shape[1])) if s.input_noise_sigma > 0 else None
+    draws = _draws(n, s, rng, noise)
     with ThreadPoolExecutor(max_workers=2) as helper:
         ahead = helper.submit(next, draws, None)
-        top_v = forward_all(frozen, xv)[-1]  # frozen layers give the same activations every epoch
+        top_v = top_activation(frozen, copy_rows(xv, rv))  # frozen layers give the same activations every epoch
         best_loss = cross_entropy_loss(net, top_v, yv)
         best = [p.copy() for p in params]
         since_best = 0
         for epoch in range(s.epochs):
             losses = []
-            for _ in range(0, xt.shape[0], s.batch_size):
+            for _ in range(0, n, s.batch_size):
                 idx, z = ahead.result()
                 ahead = helper.submit(next, draws, None)
-                xb = xt[idx]
+                xb = xt[rt[idx]].astype(np.float64, copy=False)  # a new array: the gather copies
                 if z is not None:
                     z *= s.input_noise_sigma
                     xb += z
                     np.clip(xb, 0.0, 1.0, out=xb)
-                rw, rb, gw, gb, loss = backprop_gradients(net, forward_all(frozen, xb)[-1], yt[idx])
+                rw, rb, gw, gb, loss = backprop_gradients(net, top_activation(frozen, xb), yt[idx])
                 losses.append(loss)
                 grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
                 for p, v, g, l2 in zip(params, velocity, grads, decay):
@@ -331,11 +350,13 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
 def train_translation_layer(dbn: Dbn, train, valid, cfg: SupervisedTrainConfig, on_epoch=None) -> Dbn:
     """Stage 2: fit the translation layer only, RBM layers frozen.
 
-    ``train`` and ``valid`` are ``(features, labels)`` pairs.  The stage
-    trains a network made of the translation layer alone on the RBM
-    stack's activations, so the RBM parameters are never written.  See
-    :func:`_run_stage` for noise, early stopping and best-validation
-    restore.  ``on_epoch(epoch, train_loss, valid_loss)``.
+    ``train`` and ``valid`` are ``(features, labels)`` pairs, or
+    ``(features, labels, rows)`` when the labels belong to the rows
+    ``rows`` of ``features``.  The stage trains a network made of the
+    translation layer alone on the RBM stack's activations, so the RBM
+    parameters are never written.  See :func:`_run_stage` for noise,
+    early stopping and best-validation restore.
+    ``on_epoch(epoch, train_loss, valid_loss)``.
     """
     train, valid = _validate_labeled(train, dbn), _validate_labeled(valid, dbn)
     head = Dbn([], dbn.translation_w, dbn.translation_b, dbn.class_labels)

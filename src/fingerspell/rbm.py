@@ -239,22 +239,49 @@ class Rbm:
         )
 
 
-def _reconstruction_error(rbm: Rbm, data, h, v) -> float:
-    """``np.mean((data - v1) ** 2)`` for the one-pass reconstruction ``v1``, bit for bit.
+def copy_rows(data, rows, out=None):
+    """``data[rows].astype(np.float64)`` (all rows when ``rows`` is None), written into ``out`` if given.
 
-    ``v1`` is ``rbm.visible_probabilities(rbm.hidden_probabilities(data))``.
-    The passes write into the C-ordered buffers ``h`` (n, n_hidden) and
-    ``v`` (n, n_visible), so nothing of their size is allocated here: a
-    helper thread runs this on buffers its caller owns.
+    Row by row, so no gathered copy of ``data`` is made.
     """
-    v = rbm.visible_probabilities(rbm.hidden_probabilities(data, out=h), out=v)
-    np.subtract(data, v, out=v)
+    if out is None:
+        out = np.empty((data.shape[0] if rows is None else len(rows), data.shape[1]))
+    if rows is None:
+        np.copyto(out, data)
+    else:
+        for dst, r in zip(out, rows):
+            dst[...] = data[r]
+    return out
+
+
+def _reconstruction_error(rbm: Rbm, data, h, v, rows=None) -> float:
+    """``np.mean((x - v1) ** 2)`` for the rows ``x = data[rows]`` and their one-pass reconstruction ``v1``, bit for bit.
+
+    ``v1`` is ``rbm.visible_probabilities(rbm.hidden_probabilities(x))``
+    with ``x`` upcast.  ``x`` is copied into the C-ordered buffer ``v``
+    (n, n_visible), the passes write into ``h`` (n, n_hidden) and ``v``,
+    and ``x - v1`` reads ``data`` again row by row, so nothing of their
+    size is allocated here: a helper thread runs this on buffers its
+    caller owns.
+    """
+    rbm.hidden_probabilities(copy_rows(data, rows, out=v), out=h)
+    rbm.visible_probabilities(h, out=v)
+    if rows is None:
+        np.subtract(data, v, out=v)
+    else:
+        for dst, r in zip(v, rows):
+            np.subtract(data[r], dst, out=dst)
     np.square(v, out=v)
     return float(np.mean(v))
 
 
-def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=None) -> Rbm:
+def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=None, rows=None) -> Rbm:
     """Train an RBM with CD-1 mini-batches for ``cfg.epochs`` or until convergence.
+
+    The RBM learns the rows ``rows`` of ``data`` (all when None), read by
+    index: each batch is gathered and upcast on its own, so a float32
+    ``data`` is never copied whole.  The bytes are those of training on
+    ``data[rows].astype(np.float64)``.
 
     Rows are reshuffled every epoch with the seeded generator; training
     stops early once the relative reconstruction-error improvement stays
@@ -272,8 +299,10 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=Non
     (:func:`param_step`), so a half never waits behind the error.  Both
     threads are joined before the call returns or raises.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if data.shape[0] == 0:
+    data = np.atleast_2d(np.asarray(data))
+    rows = None if rows is None else np.asarray(rows)
+    n = data.shape[0] if rows is None else len(rows)
+    if n == 0:
         raise EmptyDataError("training data is empty")
 
     rng = np.random.default_rng(cfg.rng_seed)
@@ -282,7 +311,7 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=Non
         return rbm
     state = CdState.zeros(rbm)
     snapshot = rbm.copy()
-    h, v = np.empty((data.shape[0], n_hidden)), np.empty(data.shape)
+    h, v = np.empty((n, n_hidden)), np.empty((n, data.shape[1]))
 
     prev_err = None
     stall = 0
@@ -305,10 +334,12 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=Non
         for epoch in range(cfg.epochs):
             mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
             try:
-                order = rng.permutation(data.shape[0])
-                for start in range(0, data.shape[0], cfg.batch_size):
-                    batch = data[order[start : start + cfg.batch_size]]
-                    rbm.cd1_update(batch, cfg, state, rng, momentum=mom, executor=helper)
+                order = rng.permutation(n)
+                picks = order if rows is None else rows[order]
+                for start in range(0, n, cfg.batch_size):
+                    # cd1_update upcasts the batch, and only the batch
+                    rbm.cd1_update(data[picks[start : start + cfg.batch_size]], cfg, state, rng, momentum=mom,
+                                   executor=helper)
                 rbm.check_finite()
             except Exception:
                 # a sequential loop would have settled the previous epoch first
@@ -319,6 +350,6 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=Non
                 return snapshot
             for dst, src in zip(snapshot.params, rbm.params):
                 np.copyto(dst, src)
-            pending = helper.submit(_reconstruction_error, snapshot, data, h, v)
+            pending = helper.submit(_reconstruction_error, snapshot, data, h, v, rows)
         stops(cfg.epochs - 1, pending.result())
     return rbm

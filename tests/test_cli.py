@@ -282,7 +282,7 @@ class TestTrain:
         train_rows, valid_rows, _ = ds.split_dataset(rows, run.split)
         assert (x.shape, len(train_rows), len(valid_rows)) == ((192, 10240), 96, 48)
         row64 = x.shape[1] * 8
-        limit = x.size * 4 + len(train_rows) * row64 + len(valid_rows) * row64 / 2  # about 17.7 MB
+        limit = x.size * 4 + len(valid_rows) * row64 / 2  # about 9.8 MB
         del x, rows
         pretrain, on_entry = cli.dbn_mod.pretrain, []
 
@@ -296,9 +296,37 @@ class TestTrain:
             assert main(["train", "--config", str(cfg)]) == 0
         finally:
             tracemalloc.stop()
-        # the float32 matrix and the float64 training rows (15.7 MB); with a float64 matrix and the
-        # validation rows it was 27.5 MB
+        # the float32 matrix alone (7.9 MB); a float32 copy of the training rows or of the validation rows would
+        # exceed the limit. With the float64 training rows it was 15.7 MB, with a float64 matrix and the validation
+        # rows 27.5 MB
         assert len(on_entry) == 1 and on_entry[0] < limit
+
+    def test_pretraining_peak_per_training_row_is_the_reconstruction_buffers(self, workspace, monkeypatch):
+        # the slope of pretraining's traced peak over two training-set sizes: the reconstruction buffers v
+        # (a float64 row) and h (a float64 hidden row) per training row, plus 1% of a row for the index
+        # arrays; a float64 copy of the training rows adds a whole float64 row
+        _, cfg = workspace
+        run = load_config(cfg)
+        x, rows = cli._load_features(run)
+        train_rows, valid_rows, _ = ds.split_dataset(rows, run.split)
+        pretrain, peaks = cli.dbn_mod.pretrain, []
+
+        def traced_pretrain(*args, **kwargs):
+            rbms = pretrain(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return rbms
+
+        monkeypatch.setattr(cli.dbn_mod, "pretrain", traced_pretrain)
+        sizes = (32, 96)  # whole batches of 32 rows, so the batch buffers are the same at both sizes
+        for n in sizes:
+            tracemalloc.start()
+            try:
+                cli._train_one_model(run, x, train_rows[:n], valid_rows)
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+        v_and_h = (x.shape[1] + run.layer_sizes[0]) * 8
+        assert per_row <= v_and_h + x.shape[1] * 8 / 100, (per_row, v_and_h)
 
     @pytest.mark.parametrize("split, directory", [("allseen", "out/"), ("unseen", "out/model_u01.hsdbn")])
     def test_model_path_that_is_a_directory_exits_2_before_training(self, workspace, tmp_path, capsys, split,

@@ -183,9 +183,9 @@ class TestRunConfig:
         """The seed that ``pretrain`` hands each RBM layer under the config ``raw``."""
         seeds = []
 
-        def spy(data, cfg, n_hidden, on_epoch=None):
+        def spy(data, cfg, n_hidden, on_epoch=None, rows=None):
             seeds.append(cfg.rng_seed)
-            return train_rbm(data, cfg, n_hidden, on_epoch=on_epoch)
+            return train_rbm(data, cfg, n_hidden, on_epoch=on_epoch, rows=rows)
 
         monkeypatch.setattr(dbn_mod, "train_rbm", spy)
         cfg = config_from_dict(raw)

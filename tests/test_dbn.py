@@ -129,6 +129,20 @@ class TestForward:
         assert got[0] is x and len(got) == len(expected)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=4), st.integers(1, 64), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_scores_equal_softmax_of_forward_all(self, dims, rows, float32, seed):
+        # scores holds only the current activation; the bytes are those of the whole forward_all list,
+        # for a batch and a vector, float32 input upcast
+        rng = np.random.default_rng(seed)
+        layers = [Rbm(nv, nh, rng=rng, hidden_bias=rng.normal(size=nh)) for nv, nh in zip(dims, dims[1:])]
+        net = Dbn(layers, rng.normal(0, 0.5, (dims[-1], 24)), rng.normal(size=24))
+        x = rng.random((rows, dims[0]), dtype=np.float32 if float32 else np.float64)
+        for a in (x, x[0]):
+            top = forward_all(layers, a.astype(np.float64))[-1]
+            assert net.scores(a).tobytes() == softmax(top @ net.translation_w + net.translation_b).tobytes()
+
     def test_softmax_stability(self):
         s = softmax(np.array([1000.0, 1000.0, -1000.0]))
         assert np.isfinite(s).all() and abs(s.sum() - 1) < 1e-12

@@ -8,7 +8,8 @@ in its parameters and in its ``on_epoch`` calls, also where each weight
 step is split between the calling thread and a helper.  The other tests check
 the in-place error against the whole-array expression, that the helper
 thread is gone when training returns or raises, and that only the
-calling thread trains, checks or reports.
+calling thread trains, checks or reports.  Training on float32 rows
+picked by index must give the bytes of training on their float64 copy.
 """
 
 import threading
@@ -30,8 +31,8 @@ def ref_reconstruction_error(rbm, data):
     return float(np.mean((data - v1) ** 2))
 
 
-def ref_train_rbm(data, cfg, n_hidden=None, on_epoch=None):
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+def ref_train_rbm(data, cfg, n_hidden=None, on_epoch=None, rows=None):
+    data = np.atleast_2d(np.asarray(data if rows is None else data[rows], dtype=np.float64))
     rng = np.random.default_rng(cfg.rng_seed)
     rbm = Rbm(data.shape[1], n_hidden, rng=rng)
     state = CdState.zeros(rbm)
@@ -91,13 +92,24 @@ EPOCHS_REPORTED = {
 }
 
 
+def float32_rows(data, seed=0):
+    """``(x, idx)``: a float32 matrix, larger than ``data``, whose rows ``idx`` (shuffled) are ``data``."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((2 * len(data) + 3, data.shape[1]), dtype=np.float32)
+    idx = rng.permutation(len(x))[: len(data)]
+    x[idx] = data
+    assert np.array_equal(x[idx], data)  # data is exact in float32
+    return x, idx
+
+
 def params_bytes(rbm):
     return [a.tobytes() for a in (rbm.weights, rbm.visible_bias, rbm.hidden_bias)]
 
 
-def run(train, cfg, data=None):
+def run(train, cfg, data=None, idx=None):
     log = []
-    rbm = train(rows() if data is None else data, cfg, n_hidden=8, on_epoch=lambda e, err: log.append((e, err)))
+    rbm = train(rows() if data is None else data, cfg, n_hidden=8, on_epoch=lambda e, err: log.append((e, err)),
+                rows=idx)
     return rbm, log
 
 
@@ -111,6 +123,16 @@ def test_overlapped_loop_matches_sequential_loop(name):
     assert len(log) == EPOCHS_REPORTED[name]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_float32_rows_match_sequential_loop_on_their_float64_copy(name):
+    cfg = CASES[name]
+    rbm, log = run(train_rbm, cfg, *float32_rows(rows()))
+    ref, ref_log = run(ref_train_rbm, cfg)
+    assert params_bytes(rbm) == params_bytes(ref)
+    assert log == ref_log
+    assert len(log) == EPOCHS_REPORTED[name]
+
+
 def test_split_weight_step_matches_sequential_loop():
     # 1100 visible units are five blocks of rows, so every CD-1 weight step is split
     data = rows(n=60, width=1100, seed=4)
@@ -121,6 +143,17 @@ def test_split_weight_step_matches_sequential_loop():
     assert log == ref_log
     assert len(log) == 5
     assert count_helper_threads(lambda: run(train_rbm, cfg, data)) == 0
+
+
+def test_split_weight_step_on_float32_rows_of_any_value_matches_sequential_loop():
+    x = np.random.default_rng(4).random((150, 1100), dtype=np.float32)
+    idx = np.random.default_rng(5).permutation(150)[:60]
+    cfg = RbmTrainConfig(epochs=5, batch_size=20, momentum_switch_epoch=2, rng_seed=5)
+    rbm, log = run(train_rbm, cfg, x, idx)
+    ref, ref_log = run(ref_train_rbm, cfg, x[idx].astype(np.float64))
+    assert params_bytes(rbm) == params_bytes(ref)
+    assert log == ref_log
+    assert len(log) == 5
 
 
 def test_pretrain_over_two_layers_matches_sequential_loop(monkeypatch):
@@ -139,6 +172,20 @@ def test_pretrain_over_two_layers_matches_sequential_loop(monkeypatch):
     assert log == ref_log
     epochs_run = [sum(layer == i for layer, _, _ in log) for i in (0, 1)]
     assert all(epochs_run) and min(epochs_run) < cfg.epochs
+
+
+def test_pretrain_over_two_layers_on_float32_rows_matches_their_float64_copy(monkeypatch):
+    # the second layer learns from a float64 copy of the rows that pretrain makes itself
+    x = np.random.default_rng(3).random((150, 30), dtype=np.float32)
+    idx = np.random.default_rng(4).permutation(150)[:70]
+    cfg = RbmTrainConfig(epochs=40, batch_size=16, convergence_tol=0.02, convergence_window=2, rng_seed=11)
+    log, ref_log = [], []
+    rbms = pretrain(x, [12, 6], cfg, on_epoch=lambda *a: log.append(a), rows=idx)
+    monkeypatch.setattr(dbn_mod, "train_rbm", ref_train_rbm)
+    ref_rbms = pretrain(x[idx].astype(np.float64), [12, 6], cfg, on_epoch=lambda *a: ref_log.append(a))
+    assert [params_bytes(r) for r in rbms] == [params_bytes(r) for r in ref_rbms]
+    assert log == ref_log
+    assert {layer for layer, _, _ in log} == {0, 1}
 
 
 CHECK_FINITE = Rbm.check_finite
@@ -193,6 +240,9 @@ def check_in_place_error(n, visible, hidden, seed):
     expected = ref_reconstruction_error(rbm, data)
     assert _reconstruction_error(rbm, data, h, v) == expected
     assert rbm.reconstruction_error(data) == expected
+    data32 = data.astype(np.float32)
+    x, idx = float32_rows(data32, seed)  # the same rows, picked by index from a larger float32 matrix
+    assert _reconstruction_error(rbm, x, h, v, idx) == ref_reconstruction_error(rbm, data32.astype(np.float64))
 
 
 @settings(max_examples=40, deadline=None)

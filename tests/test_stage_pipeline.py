@@ -7,7 +7,8 @@ pipelined stage must match byte for byte, with each weight step split
 between the calling thread and a helper wherever a weight matrix has two
 or more blocks of rows.  The other tests check that the stage's helper
 threads are gone when the stage returns or raises, and that only the
-calling thread runs the network.
+calling thread runs the network.  A stage fed float32 rows picked by
+index must give the bytes of the sequential loop on their float64 copy.
 """
 
 import threading
@@ -39,7 +40,8 @@ def ref_top_activations(layers, x):
 
 
 def ref_run_stage(net, frozen, train, valid, s, rng, on_epoch):
-    (xt, yt), (xv, yv) = train, valid
+    (xt, yt, rt), (xv, yv, rv) = train, valid
+    xt, xv = xt[rt].astype(np.float64), xv[rv].astype(np.float64)  # every row upcast before the stage
     top_v = ref_top_activations(frozen, xv)
     params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
     decay = [s.l2_coeff, None] * (len(params) // 2)
@@ -101,6 +103,19 @@ def labeled(rows, dim, seed):
     return rng.random((rows, dim)), [STATIC_LETTERS[i % 24] for i in range(rows)]
 
 
+def float32_rows(rows, dim, seed):
+    """A labeled set whose ``rows`` feature rows are picked by index from a larger float32 matrix."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((2 * rows + 3, dim), dtype=np.float32)
+    return x, [STATIC_LETTERS[i % 24] for i in range(rows)], rng.permutation(len(x))[:rows]
+
+
+def float64_copy(rows, dim, seed):
+    """``float32_rows``' set as the float64 copy of its rows."""
+    x, labels, idx = float32_rows(rows, dim, seed)
+    return x[idx].astype(np.float64), labels
+
+
 # 45 training rows in batches of 10 leave a short last batch of 5
 CASES = {
     "stage2_noise_short_last_batch": (
@@ -125,14 +140,14 @@ CASES = {
 }
 
 
-def run_stage(stage, stage_cfg, dims=(40, 12, 8)):
+def run_stage(stage, stage_cfg, dims=(40, 12, 8), data=labeled):
     net = small_net(dims)
     log = []
     if stage is fine_tune:
         cfg = SupervisedTrainConfig(stage3=stage_cfg, rng_seed=8)
     else:
         cfg = SupervisedTrainConfig(stage2=stage_cfg, stage3=StageConfig(learning_rate=0.01), rng_seed=8)
-    stage(net, labeled(45, dims[0], seed=1), labeled(20, dims[0], seed=2), cfg, on_epoch=lambda *a: log.append(a))
+    stage(net, data(45, dims[0], seed=1), data(20, dims[0], seed=2), cfg, on_epoch=lambda *a: log.append(a))
     return net, log
 
 
@@ -145,6 +160,19 @@ def test_pipelined_stage_matches_sequential_loop(name, monkeypatch, models_equal
     assert models_equal(net, ref_net)
     assert log == ref_log  # the same losses to the last bit, epoch by epoch
     assert not models_equal(net, small_net(*dims))  # the stage took steps
+    if name == "stage2_stops_on_patience":
+        assert len(log) < stage_cfg.epochs
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_float32_rows_match_sequential_loop_on_their_float64_copy(name, monkeypatch, models_equal):
+    _, stage_cfg, *dims = CASES[name]
+    net, log = run_stage(*CASES[name], data=float32_rows)
+    monkeypatch.setattr(dbn_mod, "_run_stage", ref_run_stage)
+    ref_net, ref_log = run_stage(*CASES[name], data=float64_copy)
+    assert models_equal(net, ref_net)
+    assert log == ref_log
+    assert not models_equal(net, small_net(*dims))
     if name == "stage2_stops_on_patience":
         assert len(log) < stage_cfg.epochs
 
