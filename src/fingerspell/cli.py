@@ -246,6 +246,7 @@ def cmd_train(cfg: RunConfig) -> int:
             writer.writerow(["stage", "epoch", "train_loss", "valid_loss", "recon_error"])
             writer.writerows(log_rows)
         print(f"saved {model_path}")
+    del x, rows, models, splits, net, log_rows  # freed first, so the trim returns their pages too
     _release_freed_heap()
     return EXIT_OK
 

@@ -184,7 +184,7 @@ class Rbm:
 
     def reconstruction_error(self, data: np.ndarray) -> float:
         """Mean squared error between data and its one-pass reconstruction."""
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+        data = np.atleast_2d(np.asarray(data))
         return _reconstruction_error(self, data, np.empty((data.shape[0], self.n_hidden)), np.empty(data.shape))
 
     def cd1_update(
@@ -240,37 +240,33 @@ class Rbm:
 
 
 def copy_rows(data, rows, out=None):
-    """``data[rows].astype(np.float64)`` (all rows when ``rows`` is None), written into ``out`` if given.
+    """``data[rows].astype(np.float64)``, written into ``out`` if given.
 
     Row by row, so no gathered copy of ``data`` is made.
     """
     if out is None:
-        out = np.empty((data.shape[0] if rows is None else len(rows), data.shape[1]))
-    if rows is None:
-        np.copyto(out, data)
-    else:
-        for dst, r in zip(out, rows):
-            dst[...] = data[r]
+        out = np.empty((len(rows), data.shape[1]))
+    for dst, r in zip(out, rows):
+        dst[...] = data[r]
     return out
 
 
 def _reconstruction_error(rbm: Rbm, data, h, v, rows=None) -> float:
     """``np.mean((x - v1) ** 2)`` for the rows ``x = data[rows]`` and their one-pass reconstruction ``v1``, bit for bit.
 
-    ``v1`` is ``rbm.visible_probabilities(rbm.hidden_probabilities(x))``
-    with ``x`` upcast.  ``x`` is copied into the C-ordered buffer ``v``
+    ``rows`` of None means every row.  ``v1`` is
+    ``rbm.visible_probabilities(rbm.hidden_probabilities(x))`` with ``x``
+    upcast.  ``x`` is copied into the C-ordered buffer ``v``
     (n, n_visible), the passes write into ``h`` (n, n_hidden) and ``v``,
     and ``x - v1`` reads ``data`` again row by row, so nothing of their
     size is allocated here: a helper thread runs this on buffers its
     caller owns.
     """
+    rows = range(len(data)) if rows is None else rows
     rbm.hidden_probabilities(copy_rows(data, rows, out=v), out=h)
     rbm.visible_probabilities(h, out=v)
-    if rows is None:
-        np.subtract(data, v, out=v)
-    else:
-        for dst, r in zip(v, rows):
-            np.subtract(data[r], dst, out=dst)
+    for dst, r in zip(v, rows):
+        np.subtract(data[r], dst, out=dst)
     np.square(v, out=v)
     return float(np.mean(v))
 
@@ -300,8 +296,8 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=Non
     threads are joined before the call returns or raises.
     """
     data = np.atleast_2d(np.asarray(data))
-    rows = None if rows is None else np.asarray(rows)
-    n = data.shape[0] if rows is None else len(rows)
+    rows = np.arange(data.shape[0]) if rows is None else np.asarray(rows)
+    n = len(rows)
     if n == 0:
         raise EmptyDataError("training data is empty")
 
@@ -334,8 +330,7 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=Non
         for epoch in range(cfg.epochs):
             mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
             try:
-                order = rng.permutation(n)
-                picks = order if rows is None else rows[order]
+                picks = rows[rng.permutation(n)]
                 for start in range(0, n, cfg.batch_size):
                     # cd1_update upcasts the batch, and only the batch
                     rbm.cd1_update(data[picks[start : start + cfg.batch_size]], cfg, state, rng, momentum=mom,

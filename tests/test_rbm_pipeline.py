@@ -243,6 +243,7 @@ def check_in_place_error(n, visible, hidden, seed):
     data32 = data.astype(np.float32)
     x, idx = float32_rows(data32, seed)  # the same rows, picked by index from a larger float32 matrix
     assert _reconstruction_error(rbm, x, h, v, idx) == ref_reconstruction_error(rbm, data32.astype(np.float64))
+    assert rbm.reconstruction_error(data32) == ref_reconstruction_error(rbm, data32.astype(np.float64))
 
 
 @settings(max_examples=40, deadline=None)
