@@ -4,8 +4,8 @@ Layout: magic bytes, a little-endian uint32 header length, a UTF-8 JSON
 object header padded with spaces so the payload starts at a multiple of
 64 bytes, then raw row-major tensors of one little-endian dtype.  The
 header fixes every tensor's shape, so the reader checks the sizes against
-the file length before it allocates, then reads the payload into one
-buffer, or maps an aligned payload copy-on-write.
+the file length before it allocates, then maps an aligned payload
+copy-on-write, or reads an unaligned one into one buffer.
 """
 
 import json
@@ -41,14 +41,15 @@ def write(path, magic: bytes, dtype, header: dict, tensors) -> None:
         raise
 
 
-def read(path, magic: bytes, dtype, layout, mapped=False) -> tuple[dict, list]:
+def read(path, magic: bytes, dtype, layout) -> tuple[dict, list]:
     """Read a container; returns ``(header, arrays)``.
 
     ``layout(header)`` yields each tensor's ``(name, shape)`` in file order
     and raises ``KeyError``, ``TypeError`` or ``ValueError`` on a malformed
-    header.  The arrays are writable views of one buffer: with ``mapped``
-    and an aligned payload, a private copy-on-write map of the file, which
-    no write reaches and which must not be truncated while the arrays live.
+    header.  The arrays are writable views of one buffer: for an aligned
+    payload, a private copy-on-write map of the file, which no write
+    reaches and which must not be truncated while the arrays live; so a
+    reader touches only the pages of the rows it reads.
     Raises :class:`FormatError` on a bad magic, a header that is not a JSON
     object, a size that is not a non-negative integer, a truncated file
     (naming the tensor where the data runs out) or trailing data.
@@ -84,7 +85,7 @@ def read(path, magic: bytes, dtype, layout, mapped=False) -> tuple[dict, list]:
                 raise FormatError(f"{path}: truncated tensor {name!r} (wanted {math.prod(shape)} {dtype.name} values)")
         if bounds[-1] * dtype.itemsize < available:
             raise FormatError(f"{path}: trailing data after tensors")
-        if mapped and offset % ALIGN == 0:
+        if offset % ALIGN == 0:
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
             if len(buf) < offset + available:
                 raise FormatError(f"{path}: file shrank while being read")

@@ -24,7 +24,7 @@ from fingerspell.errors import (
     NumericError,
     check_fields,
 )
-from fingerspell.rbm import Rbm, RbmTrainConfig, StepScratch, copy_rows, param_step, train_rbm
+from fingerspell.rbm import Rbm, RbmTrainConfig, copy_rows, param_step, train_rbm
 
 DEFAULT_LAYER_SIZES = (1500, 700, 400)
 
@@ -302,7 +302,6 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
     params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
     decay = [s.l2_coeff, None] * (len(params) // 2)
     velocity = [np.zeros_like(p) for p in params]
-    scratch = StepScratch()
     noise = np.empty((2, min(s.batch_size, n), xt.shape[1])) if s.input_noise_sigma > 0 else None
     draws = _draws(n, s, rng, noise)
     with ThreadPoolExecutor(max_workers=2) as helper:
@@ -325,7 +324,7 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
                 losses.append(loss)
                 grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
                 for p, v, g, l2 in zip(params, velocity, grads, decay):
-                    param_step(p, v, g, s.momentum, -s.learning_rate, l2=l2, scratch=scratch, executor=helper)
+                    param_step(p, v, g, s.momentum, -s.learning_rate, l2=l2, executor=helper)
 
             for rbm in net.rbm_layers:
                 rbm.check_finite()
@@ -415,7 +414,7 @@ def _model_layout(header):
 
 def load_model(path) -> Dbn:
     """Read a model file as copy-on-write views of its mapping; raises :class:`FormatError` on any corruption."""
-    header, arrays = container.read(path, MODEL_MAGIC, "<f8", _model_layout, mapped=True)
+    header, arrays = container.read(path, MODEL_MAGIC, "<f8", _model_layout)
     per_layer = iter(arrays[:-2])  # weights, visible_bias, hidden_bias per RBM
     rbms = [Rbm(*w.shape, weights=w, visible_bias=vb, hidden_bias=hb) for w, vb, hb in zip(*[per_layer] * 3)]
     return Dbn(rbms, arrays[-2], arrays[-1], header["class_labels"])

@@ -332,7 +332,7 @@ def _feature_layout(header):
 
 
 def read_features(path) -> tuple[str, np.ndarray]:
-    """Read a feature file; returns ``(kind, matrix)`` with the float32 matrix it stores.
+    """Read a feature file; returns ``(kind, matrix)`` with the float32 matrix it stores, mapped copy-on-write.
 
     Raises :class:`FormatError` on a bad magic string, malformed header or
     truncated payload.

@@ -78,7 +78,8 @@ def precision_recall(cm: np.ndarray, split: str = "", labels=STATIC_LETTERS, top
 
     ``recall(l) = cm[l, l] / row_sum(l)``, ``precision(l) = cm[l, l] /
     col_sum(l)``; macro averages run over letters whose denominator is
-    nonzero.  The most-confused pairs are the largest off-diagonal counts.
+    nonzero.  The most-confused pairs are the largest off-diagonal counts,
+    tied counts in row-major (true, predicted) order.
     """
     cm = np.asarray(cm)
     row = cm.sum(axis=1)
@@ -95,10 +96,10 @@ def precision_recall(cm: np.ndarray, split: str = "", labels=STATIC_LETTERS, top
     off = cm.copy()
     np.fill_diagonal(off, 0)
     pairs = []
-    flat = np.argsort(off, axis=None)[::-1]
-    for pos in flat[: top_confusions * 2]:
+    # a stable sort puts tied counts in row-major order; numpy's default sort orders ties by the CPU's SIMD level
+    for pos in np.argsort(-off, axis=None, kind="stable")[:top_confusions]:
         r, c = divmod(int(pos), cm.shape[1])
-        if off[r, c] > 0 and len(pairs) < top_confusions:
+        if off[r, c] > 0:
             pairs.append((labels[r], labels[c], int(off[r, c])))
 
     return EvalReport(

@@ -10,12 +10,12 @@ time, for CD-1 and for the supervised stages alike.
 """
 
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from fingerspell.errors import DimensionMismatchError, EmptyDataError, NumericError, check_fields
+from fingerspell.errors import ConfigError, DimensionMismatchError, EmptyDataError, NumericError, check_fields
 
 
 @dataclass
@@ -43,24 +43,7 @@ class RbmTrainConfig:
 BLOCK_ROWS = 256  # rows per block of param_step; 64 to 512 time the same
 
 
-class StepScratch:
-    """Block-sized work buffers for :func:`param_step`, owned by one training call.
-
-    One pair of buffers for each half of a split step, so the two halves
-    never share a buffer.
-    """
-
-    def __init__(self):
-        self._flat = [(np.empty(0), np.empty(0))] * 2
-
-    def pair(self, shape, half=0):
-        n = shape[0] * shape[1]
-        if self._flat[half][0].size < n:
-            self._flat[half] = (np.empty(n), np.empty(n))
-        return tuple(f[:n].reshape(shape) for f in self._flat[half])
-
-
-def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, scratch=None, executor=None) -> None:
+def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, executor=None) -> None:
     """``velocity = momentum*velocity + rate*(grad + l2*param + l1*sign(param)); param += velocity``.
 
     Runs in place over ``BLOCK_ROWS`` rows of ``param`` at a time (a vector
@@ -74,14 +57,13 @@ def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, scratch=
     the supervised stages descend (``rate < 0``).
 
     With an ``executor``, a ``param`` of two or more blocks is split: the
-    upper half of the blocks runs there, on the scratch's second pair of
-    buffers, while the caller runs the lower half.  The halves write
-    disjoint rows with the same calls, so the bytes do not depend on the
-    split or its timing.  The call returns once both halves have ended and
-    then raises an exception from either.  ``grad`` must be safe to call
-    from another thread.
+    upper half of the blocks runs there, on its own pair of block buffers,
+    while the caller runs the lower half.  The halves write disjoint rows
+    with the same calls, so the bytes do not depend on the split or its
+    timing.  The call returns once both halves have ended and then raises
+    an exception from either.  ``grad`` must be safe to call from another
+    thread.
     """
-    scratch = StepScratch() if scratch is None else scratch
     rows = lambda a: a if a.ndim == 2 else a[np.newaxis]
     p, v = rows(param), rows(velocity)
     n = p.shape[0]
@@ -91,9 +73,9 @@ def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, scratch=
     starts = [start for start in range(0, n, BLOCK_ROWS) if start == 0 or n - start > 1]
     blocks = list(zip(starts, starts[1:] + [n]))
 
-    def steps(half, part):
+    def steps(part, out_rows, tmp_rows):
         for start, stop in part:
-            out, tmp = scratch.pair((stop - start, p.shape[1]), half)
+            out, tmp = out_rows[: stop - start], tmp_rows[: stop - start]
             g = grad(start, stop, out, tmp) if callable(grad) else rows(grad)[start:stop]
             pb, vb = p[start:stop], v[start:stop]
             if l2 is not None:
@@ -108,30 +90,20 @@ def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, scratch=
             vb += out
             pb += vb
 
+    def pair():  # a half's (out, tmp) block buffers; a lone last row makes a block of BLOCK_ROWS + 1
+        return [np.empty((min(n, BLOCK_ROWS + 1), p.shape[1])) for _ in range(2)]
+
     if executor is None or len(blocks) < 2:
-        steps(0, blocks)
+        steps(blocks, *pair())
         return
     mid = (len(blocks) + 1) // 2
-    upper = executor.submit(steps, 1, blocks[mid:])
+    buffers = pair(), pair()  # both made on this thread: made on the helper, they raised peak RSS
+    upper = executor.submit(steps, blocks[mid:], *buffers[1])
     try:
-        steps(0, blocks[:mid])
+        steps(blocks[:mid], *buffers[0])
     finally:
         wait((upper,))
     upper.result()
-
-
-@dataclass
-class CdState:
-    """Momentum buffers carried between CD-1 updates, and the step's scratch."""
-
-    d_weights: np.ndarray
-    d_visible_bias: np.ndarray
-    d_hidden_bias: np.ndarray
-    scratch: StepScratch = field(default_factory=StepScratch)
-
-    @classmethod
-    def zeros(cls, rbm: "Rbm") -> "CdState":
-        return cls(*(np.zeros_like(a) for a in rbm.params))
 
 
 def sample_bernoulli(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -147,7 +119,10 @@ class Rbm:
         self.n_hidden = int(n_hidden)
         if weights is None:
             rng = np.random.default_rng(0) if rng is None else rng
-            weights = rng.normal(0.0, 0.01, size=(self.n_visible, self.n_hidden))
+            try:
+                weights = rng.normal(0.0, 0.01, size=(self.n_visible, self.n_hidden))
+            except (MemoryError, ValueError) as exc:  # ValueError: a dimension numpy cannot index
+                raise ConfigError(f"no {self.n_visible} x {self.n_hidden} weight matrix fits in memory: {exc}") from exc
         self.weights = np.asarray(weights, dtype=np.float64)
         self.visible_bias = np.zeros(self.n_visible) if visible_bias is None else np.asarray(visible_bias, dtype=np.float64)
         self.hidden_bias = np.zeros(self.n_hidden) if hidden_bias is None else np.asarray(hidden_bias, dtype=np.float64)
@@ -191,15 +166,17 @@ class Rbm:
         self,
         batch: np.ndarray,
         cfg: RbmTrainConfig,
-        state: CdState,
+        velocity: list,
         rng: np.random.Generator,
         momentum: float | None = None,
         executor=None,
     ) -> None:
         """One CD-1 parameter update from a (B, n_visible) batch, in place.
 
-        ``momentum`` overrides ``cfg.momentum`` (used for the early-epoch
-        schedule).  Draws a single (B, n_hidden) uniform block from ``rng``.
+        ``velocity`` holds the momentum buffer of each :attr:`params` entry,
+        in order, carried from one update to the next.  ``momentum``
+        overrides ``cfg.momentum`` (used for the early-epoch schedule).
+        Draws a single (B, n_hidden) uniform block from ``rng``.
         ``executor`` runs half of the weight step (see :func:`param_step`).
         """
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
@@ -219,11 +196,10 @@ class Rbm:
             out /= b
             return out
 
-        lr, sc = cfg.learning_rate, state.scratch
-        param_step(self.weights, state.d_weights, dw, mom, lr, l2=-cfg.l2_coeff, l1=-cfg.l1_coeff, scratch=sc,
-                   executor=executor)
-        param_step(self.visible_bias, state.d_visible_bias, (batch - v1).mean(axis=0), mom, lr, scratch=sc)
-        param_step(self.hidden_bias, state.d_hidden_bias, (h0 - h1).mean(axis=0), mom, lr, scratch=sc)
+        lr = cfg.learning_rate
+        param_step(self.weights, velocity[0], dw, mom, lr, l2=-cfg.l2_coeff, l1=-cfg.l1_coeff, executor=executor)
+        param_step(self.visible_bias, velocity[1], (batch - v1).mean(axis=0), mom, lr)
+        param_step(self.hidden_bias, velocity[2], (h0 - h1).mean(axis=0), mom, lr)
 
     def check_finite(self) -> None:
         if not all(np.isfinite(a).all() for a in self.params):
@@ -305,7 +281,7 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=Non
     rbm = Rbm(data.shape[1], n_hidden, rng=rng)
     if cfg.epochs == 0:
         return rbm
-    state = CdState.zeros(rbm)
+    velocity = [np.zeros_like(a) for a in rbm.params]
     snapshot = rbm.copy()
     h, v = np.empty((n, n_hidden)), np.empty((n, data.shape[1]))
 
@@ -333,7 +309,7 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=Non
                 picks = rows[rng.permutation(n)]
                 for start in range(0, n, cfg.batch_size):
                     # cd1_update upcasts the batch, and only the batch
-                    rbm.cd1_update(data[picks[start : start + cfg.batch_size]], cfg, state, rng, momentum=mom,
+                    rbm.cd1_update(data[picks[start : start + cfg.batch_size]], cfg, velocity, rng, momentum=mom,
                                    executor=helper)
                 rbm.check_finite()
             except Exception:

@@ -372,6 +372,17 @@ class TestTrain:
         assert pretrained == []
         assert not list((tmp_path / "out").glob("*.hsdbn")) and not list((tmp_path / "out").glob("train_log*.csv"))
 
+    # sizes whose weight matrix no overcommit setting can allocate: 10**12 units need 80 PB, and
+    # 10**19 is past the largest dimension numpy indexes; both used to end in a numpy traceback
+    @pytest.mark.parametrize("units", [10**12, 10**19])
+    def test_unallocatable_layer_exits_2(self, workspace, tmp_path, capsys, units):
+        cfg = copy_workspace(workspace, tmp_path)
+        raw = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**raw, "layer_sizes": [units]}))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"x {units} weight matrix" in err and err.count("\n") == 1
+
 
 class TestEval:
     def test_reports_written_and_deterministic(self, workspace):

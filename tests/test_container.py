@@ -108,7 +108,7 @@ def test_loaded_arrays_are_writable(tmp_path):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 13, 24])
 def test_written_payload_starts_64_byte_aligned(tmp_path, n):
-    # the writer pads the header with spaces, which json.loads ignores, so a model's payload can be mapped aligned
+    # the writer pads the header with spaces, which json.loads ignores, so a payload can be mapped aligned
     save_model(small_net(n, n_classes=n), tmp_path / "m.hsdbn")
     write_features(tmp_path / "f.bin", "raw" * n, np.ones((n, 3 * n), dtype=np.float32))
     headers = {
@@ -139,43 +139,53 @@ def test_unpadded_model_loads_to_equal_aligned_arrays(tmp_path):
     assert all(a.flags.aligned and a.flags.writeable for a in arrays)
 
 
-def test_load_model_does_not_copy_the_file(tmp_path):
+def test_reading_a_file_does_not_copy_it(tmp_path):
     rng = np.random.default_rng(41)
-    p = tmp_path / "big.hsdbn"
-    save_model(Dbn([Rbm(4096, 256, rng=rng)], rng.normal(size=(256, 24)), rng.normal(size=24)), p)
-    assert p.stat().st_size >= 8 * 2**20
-    tracemalloc.start()
-    try:
-        net = load_model(p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    assert net.rbm_layers[0].weights.flags.writeable
+    model, features = tmp_path / "big.hsdbn", tmp_path / "big.bin"
+    save_model(Dbn([Rbm(4096, 256, rng=rng)], rng.normal(size=(256, 24)), rng.normal(size=24)), model)
+    write_features(features, "combined", rng.random((512, 4096), dtype=np.float32))
+    readers = {model: lambda p: load_model(p).rbm_layers[0].weights, features: lambda p: read_features(p)[1]}
+    for path, read in readers.items():
+        assert path.stat().st_size >= 8 * 2**20
+        tracemalloc.start()
+        try:
+            array = read(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, path.name
+        assert array.flags.writeable
 
 
-def test_overwriting_a_loaded_model_keeps_its_values(tmp_path):
+def test_overwriting_a_read_file_keeps_its_values(tmp_path):
     # the writer replaces the file, so a process that mapped the old one keeps reading it; writing the
     # mapped file in place would show the new values or, if it shrank, kill the process with SIGBUS
-    p = tmp_path / "m.hsdbn"
+    p, f = tmp_path / "m.hsdbn", tmp_path / "f.bin"
     save_model(small_net(42), p)
+    write_features(f, "raw", np.arange(12, dtype=np.float32).reshape(3, 4))
     code = (
         "import numpy as np\n"
         "from fingerspell.dbn import Dbn, load_model, save_model\n"
-        f"p = {str(p)!r}\n"
+        "from fingerspell.features import read_features, write_features\n"
+        f"p, f = {str(p)!r}, {str(f)!r}\n"
         "net = load_model(p)\n"
         "first = load_model(p).rbm_layers[0]\n"
         "first.weights += 1.0\n"
         "save_model(Dbn([first], np.zeros((3, 24)), np.zeros(24)), p)\n"
         "assert load_model(p).rbm_layers[0].weights[0, 0] != net.rbm_layers[0].weights[0, 0]\n"
+        "_, x = read_features(f)\n"
+        "write_features(f, 'raw', np.ones((1, 4), dtype=np.float32))\n"
+        "assert read_features(f)[1].shape == (1, 4)\n"
         "arrays = [t for r in net.rbm_layers for t in (r.weights, r.visible_bias, r.hidden_bias)]\n"
         "print(b''.join(a.tobytes() for a in arrays + [net.translation_w, net.translation_b]).hex())\n"
+        "print(x.tobytes().hex())\n"
     )
     pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == b"".join(a.tobytes() for a in model_arrays(small_net(42))).hex()
+    assert run.stdout.split() == [b"".join(a.tobytes() for a in model_arrays(small_net(42))).hex(),
+                                  np.arange(12, dtype=np.float32).tobytes().hex()]
 
 
 def test_failed_save_leaves_the_old_file(tmp_path):

@@ -139,6 +139,19 @@ class TestPrecisionRecall:
         assert rep.confused_pairs[0] == ("E", "S", 40)
         assert rep.confused_pairs[1] == ("Q", "P", 25)
 
+    def test_tied_confusions_come_in_row_major_order(self):
+        # twelve tied counts: numpy's default sort orders ties by the CPU's SIMD level, so the rule is explicit
+        rng = np.random.default_rng(12)
+        cm = np.diag(rng.integers(5, 40, 24)).astype(np.int64)
+        cells = [(23, 0), (22, 23), (19, 20), (17, 18), (13, 14), (11, 12), (9, 10), (8, 9), (7, 8), (3, 4), (1, 2),
+                 (0, 1)]
+        for r, c in cells:
+            cm[r, c] = 1
+        cm[12, 3] = 2
+        rep = precision_recall(cm)
+        ones = [(STATIC_LETTERS[r], STATIC_LETTERS[c], 1) for r, c in sorted(cells)]
+        assert rep.confused_pairs == [(STATIC_LETTERS[12], STATIC_LETTERS[3], 2)] + ones[:9]
+
 
 class TestReportSerialization:
     def make_report(self):

@@ -10,7 +10,7 @@ from scipy.special import expit
 
 from fingerspell.errors import DimensionMismatchError, EmptyDataError
 from fingerspell.rbm import (
-    BLOCK_ROWS, CdState, Rbm, RbmTrainConfig, StepScratch, _reconstruction_error, param_step, sample_bernoulli,
+    BLOCK_ROWS, Rbm, RbmTrainConfig, _reconstruction_error, param_step, sample_bernoulli,
     train_rbm,
 )
 
@@ -138,8 +138,8 @@ class TestCd1Update:
         # so positive and negative statistics cancel exactly
         r = make_rbm(np.zeros((4, 3)))
         cfg = RbmTrainConfig(learning_rate=0.5, momentum=0.0, initial_momentum=0.0, l1_coeff=0.0, l2_coeff=0.0)
-        state = CdState.zeros(r)
-        r.cd1_update(np.full((6, 4), 0.5), cfg, state, np.random.default_rng(4))
+        velocity = [np.zeros_like(a) for a in r.params]
+        r.cd1_update(np.full((6, 4), 0.5), cfg, velocity, np.random.default_rng(4))
         assert (r.weights == 0).all() and (r.visible_bias == 0).all() and (r.hidden_bias == 0).all()
 
     def test_matches_scalar_oracle(self):
@@ -151,8 +151,8 @@ class TestCd1Update:
         cfg = RbmTrainConfig(learning_rate=0.07, momentum=0.0, initial_momentum=0.0, l1_coeff=1e-3, l2_coeff=1e-2)
 
         r = make_rbm(w.copy(), vb=vb.copy(), hb=hb.copy())
-        state = CdState.zeros(r)
-        r.cd1_update(batch, cfg, state, np.random.default_rng(99), momentum=0.0)
+        velocity = [np.zeros_like(a) for a in r.params]
+        r.cd1_update(batch, cfg, velocity, np.random.default_rng(99), momentum=0.0)
 
         uniforms = np.random.default_rng(99).random((3, 2))
         ew, evb, ehb = scalar_cd1_oracle(w, vb, hb, batch.tolist(), 0.07, 1e-3, 1e-2, uniforms)
@@ -170,7 +170,7 @@ class TestCd1Update:
         for lr in (1e-3, 5e-4):
             r = make_rbm(w0.copy())
             cfg = RbmTrainConfig(learning_rate=lr, momentum=0.0, initial_momentum=0.0, l1_coeff=0.0, l2_coeff=0.0)
-            r.cd1_update(batch, cfg, CdState.zeros(r), np.random.default_rng(42), momentum=0.0)
+            r.cd1_update(batch, cfg, [np.zeros_like(a) for a in r.params], np.random.default_rng(42), momentum=0.0)
             deltas.append((r.weights - w0) / lr)
         assert np.allclose(deltas[0], deltas[1], atol=1e-12)
 
@@ -182,7 +182,7 @@ class TestCd1Update:
         lr = 1e-4
         r = make_rbm(w0.copy())
         cfg = RbmTrainConfig(learning_rate=lr, momentum=0.0, initial_momentum=0.0, l1_coeff=0.0, l2_coeff=0.0)
-        r.cd1_update(batch, cfg, CdState.zeros(r), np.random.default_rng(11), momentum=0.0)
+        r.cd1_update(batch, cfg, [np.zeros_like(a) for a in r.params], np.random.default_rng(11), momentum=0.0)
 
         h0 = expit(batch @ w0)
         h0s = (np.random.default_rng(11).random(h0.shape) < h0).astype(float)
@@ -221,9 +221,8 @@ class TestParamStep:
         expect_vel_b = mom * vel_b + lr * grad_b
         expect_vb = vb + expect_vel_b
 
-        scratch = StepScratch()
-        param_step(w, vel, grad, mom, lr, l2=-l2, l1=-l1, scratch=scratch)
-        param_step(vb, vel_b, grad_b, mom, lr, scratch=scratch)
+        param_step(w, vel, grad, mom, lr, l2=-l2, l1=-l1)
+        param_step(vb, vel_b, grad_b, mom, lr)
         assert bytes_of(w, vel, vb, vel_b) == bytes_of(expect_w, expect_vel, expect_vb, expect_vel_b)
 
     @pytest.mark.parametrize("rows", ROW_COUNTS)
@@ -249,10 +248,10 @@ class TestParamStep:
         batch = (rng.random((36, rows)) < 0.5).astype(float)
         cfg = RbmTrainConfig(learning_rate=0.1, l1_coeff=1e-5, l2_coeff=2e-4)
         r = make_rbm(w0.copy(), vb=vb0.copy(), hb=hb0.copy())
-        state = CdState.zeros(r)
-        state.d_weights[:] = rng.normal(0, 1e-3, w0.shape)
-        vel0 = state.d_weights.copy()
-        r.cd1_update(batch, cfg, state, np.random.default_rng(7), momentum=0.5)
+        velocity = [np.zeros_like(a) for a in r.params]
+        velocity[0][:] = rng.normal(0, 1e-3, w0.shape)
+        vel0 = velocity[0].copy()
+        r.cd1_update(batch, cfg, velocity, np.random.default_rng(7), momentum=0.5)
 
         h0 = expit(batch @ w0 + hb0)
         h0s = (np.random.default_rng(7).random(h0.shape) < h0).astype(float)
@@ -262,7 +261,7 @@ class TestParamStep:
         vel = 0.5 * vel0 + cfg.learning_rate * (dw - cfg.l2_coeff * w0 - cfg.l1_coeff * np.sign(w0))
         vel_vb = 0.5 * 0.0 + cfg.learning_rate * (batch - v1).mean(axis=0)
         vel_hb = 0.5 * 0.0 + cfg.learning_rate * (h0 - h1).mean(axis=0)
-        assert bytes_of(r.weights, state.d_weights) == bytes_of(w0 + vel, vel)
+        assert bytes_of(r.weights, velocity[0]) == bytes_of(w0 + vel, vel)
         assert bytes_of(r.visible_bias, r.hidden_bias) == bytes_of(vb0 + vel_vb, hb0 + vel_hb)
 
 
@@ -302,9 +301,8 @@ class TestSplitStep:
                 for executor in (None, CountingExecutor()):
                     w, vel, grad, grad_blocks, b, vel_b, grad_b = split_inputs(rows, seed=rows)
                     g = grad if form == "array" else grad_blocks
-                    scratch = StepScratch()
-                    param_step(w, vel, g, 0.9, rate, l2=l2, l1=l1, scratch=scratch, executor=executor)
-                    param_step(b, vel_b, grad_b, 0.9, rate, scratch=scratch, executor=executor)
+                    param_step(w, vel, g, 0.9, rate, l2=l2, l1=l1, executor=executor)
+                    param_step(b, vel_b, grad_b, 0.9, rate, executor=executor)
                     results.append(bytes_of(w, vel, b, vel_b))
                     if executor is not None:
                         executor.shutdown()
@@ -325,11 +323,23 @@ class TestSplitStep:
             with ThreadPoolExecutor(max_workers=1) as executor:
                 for _ in range(10):
                     w, vel = w0.copy(), vel0.copy()
-                    param_step(w, vel, grad_blocks, 0.9, 0.1, l2=-2e-4, l1=-1e-5, scratch=StepScratch(),
-                               executor=executor)
+                    param_step(w, vel, grad_blocks, 0.9, 0.1, l2=-2e-4, l1=-1e-5, executor=executor)
                     assert bytes_of(w, vel) == expected
         finally:
             sys.setswitchinterval(interval)
+
+    def test_split_step_allocates_only_its_two_buffer_pairs(self):
+        w, vel, _, grad_blocks, *_ = split_inputs(10240, seed=5, cols=200)
+        pairs_bytes = 2 * 2 * (BLOCK_ROWS + 1) * w.shape[1] * w.itemsize  # an (out, tmp) pair per half
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            tracemalloc.start()
+            try:
+                param_step(w, vel, grad_blocks, 0.9, 0.1, l2=-2e-4, l1=-1e-5, executor=executor)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < pairs_bytes + 2**16  # 1.6 MB, plus the call's small objects
+        assert pairs_bytes < w.nbytes / 8  # 16.4 MB
 
     @pytest.mark.parametrize("failing_half", ["caller", "executor"])
     def test_exception_comes_out_after_both_halves_end(self, failing_half):

@@ -23,7 +23,7 @@ import fingerspell.dbn as dbn_mod
 import fingerspell.rbm as rbm_mod
 from fingerspell.dbn import pretrain
 from fingerspell.errors import NumericError
-from fingerspell.rbm import CdState, Rbm, RbmTrainConfig, _reconstruction_error, train_rbm
+from fingerspell.rbm import Rbm, RbmTrainConfig, _reconstruction_error, train_rbm
 
 
 def ref_reconstruction_error(rbm, data):
@@ -35,7 +35,7 @@ def ref_train_rbm(data, cfg, n_hidden=None, on_epoch=None, rows=None):
     data = np.atleast_2d(np.asarray(data if rows is None else data[rows], dtype=np.float64))
     rng = np.random.default_rng(cfg.rng_seed)
     rbm = Rbm(data.shape[1], n_hidden, rng=rng)
-    state = CdState.zeros(rbm)
+    velocity = [np.zeros_like(a) for a in rbm.params]
 
     prev_err = None
     stall = 0
@@ -43,7 +43,7 @@ def ref_train_rbm(data, cfg, n_hidden=None, on_epoch=None, rows=None):
         mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
         order = rng.permutation(data.shape[0])
         for start in range(0, data.shape[0], cfg.batch_size):
-            rbm.cd1_update(data[order[start : start + cfg.batch_size]], cfg, state, rng, momentum=mom)
+            rbm.cd1_update(data[order[start : start + cfg.batch_size]], cfg, velocity, rng, momentum=mom)
         rbm.check_finite()
 
         err = ref_reconstruction_error(rbm, data)

@@ -29,7 +29,7 @@ from fingerspell.dbn import (
     train_translation_layer,
 )
 from fingerspell.errors import NumericError
-from fingerspell.rbm import Rbm, StepScratch, param_step
+from fingerspell.rbm import Rbm, param_step
 
 
 def ref_top_activations(layers, x):
@@ -46,7 +46,6 @@ def ref_run_stage(net, frozen, train, valid, s, rng, on_epoch):
     params = [p for r in net.rbm_layers for p in (r.weights, r.hidden_bias)] + [net.translation_w, net.translation_b]
     decay = [s.l2_coeff, None] * (len(params) // 2)
     velocity = [np.zeros_like(p) for p in params]
-    scratch = StepScratch()
     noise = np.empty((min(s.batch_size, xt.shape[0]), xt.shape[1])) if s.input_noise_sigma > 0 else None
 
     best_loss = cross_entropy_loss(net, top_v, yv)
@@ -67,7 +66,7 @@ def ref_run_stage(net, frozen, train, valid, s, rng, on_epoch):
             losses.append(loss)
             grads = [g for pair in zip(rw, rb) for g in pair] + [gw, gb]
             for p, v, g, l2 in zip(params, velocity, grads, decay):
-                param_step(p, v, g, s.momentum, -s.learning_rate, l2=l2, scratch=scratch)
+                param_step(p, v, g, s.momentum, -s.learning_rate, l2=l2)
             for rbm in net.rbm_layers:
                 rbm.check_finite()
 
