@@ -30,9 +30,11 @@ from fingerspell import dataset as ds
 from fingerspell import dbn as dbn_mod
 from fingerspell import metrics
 from fingerspell.config import RunConfig, config_from_dict, read_config_file, save_config
-from fingerspell.errors import ConfigError, EmptyDataError, FingerspellError, MissingFileError, NumericError
+from fingerspell.errors import (ConfigError, EmptyDataError, FingerspellError, FormatError, MissingFileError,
+                                NumericError)
 from fingerspell.features import FEATURE_KINDS, extract_features, feature_dim, read_features, write_features
 from fingerspell.pgm import read_pgm
+from fingerspell.rbm import copy_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -103,6 +105,13 @@ def _load_features(cfg: RunConfig):
     if not rows:
         raise EmptyDataError(f"{feat_path} holds no samples")
     return x, rows
+
+
+def _check_values(cfg: RunConfig, x, indices) -> None:
+    """Raise :class:`FormatError` unless the rows ``indices`` of ``x`` are finite and in [0, 1]; no row is copied."""
+    for i in indices:
+        if not (x[i].min() >= 0 and x[i].max() <= 1):  # NaN fails both comparisons
+            raise FormatError(f"{_feature_paths(cfg)[0]}: feature row {i} is not finite and in [0, 1]")
 
 
 def _models(cfg: RunConfig, rows) -> list:
@@ -229,6 +238,7 @@ def cmd_train(cfg: RunConfig) -> int:
             if not part:
                 who = "" if spec.test_user is None else f" with {spec.test_user} held out"
                 raise EmptyDataError(f"{spec.mode} split{who} leaves the {name} set empty")
+    _check_values(cfg, x, sorted({r.index for split in splits for part in split for r in part}))
     _echo_config(cfg)
     if models[0][2]:  # one model per held-out user
         print(f"unseen split with no test user set: training {len(models)} hold-out models")
@@ -259,13 +269,14 @@ def cmd_eval(cfg: RunConfig) -> int:
     _echo_config(cfg)
     out = Path(cfg.paths.output_dir)
     models = _models(cfg, rows)
+    tests = [ds.split_dataset(rows, spec)[2] for spec, _, _ in models]
+    _check_values(cfg, x, sorted({r.index for part in tests for r in part}))
     reports = {}  # held-out user (None for a single model) -> report
-    for spec, path, suffix in models:
+    for (spec, path, suffix), test_rows in zip(models, tests):
         if not path.exists():
             raise MissingFileError(f"model not found: {path} (train with the same split first)")
         net = dbn_mod.load_model(path)
-        _, _, test_rows = ds.split_dataset(rows, spec)
-        scores = net.scores(x[[r.index for r in test_rows]])
+        scores = net.scores(copy_rows(x, [r.index for r in test_rows]))
         preds = [net.class_labels[i] for i in np.argmax(scores, axis=1)]
         cm = metrics.confusion(preds, [r.letter for r in test_rows], labels=net.class_labels)
         split_name = spec.mode if spec.test_user is None else f"unseen:{spec.test_user}"

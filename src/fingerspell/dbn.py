@@ -79,16 +79,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def forward_all(layers, x: np.ndarray) -> list:
-    """``[x, a1, ..., aL]``: the input, then the sigmoid activations after each of ``layers``."""
-    activations = [x]
-    for rbm in layers:
-        activations.append(rbm.hidden_probabilities(activations[-1]))
-    return activations
-
-
 def top_activation(layers, x: np.ndarray) -> np.ndarray:
-    """``forward_all(layers, x)[-1]``, holding only the current activation: each is dropped once the next is made."""
+    """The sigmoid activations after the last of ``layers`` (``x`` for none); each is dropped once the next is made."""
     for rbm in layers:
         x = rbm.hidden_probabilities(x)
     return x
@@ -136,7 +128,7 @@ class Dbn:
 
     def forward(self, x: np.ndarray) -> Prediction:
         """Classify one feature vector."""
-        s = self.scores(np.asarray(x, dtype=np.float64).reshape(-1))
+        s = self.scores(np.asarray(x).reshape(-1))
         return Prediction(scores=s, label=self.class_labels[int(np.argmax(s))])
 
 
@@ -150,11 +142,12 @@ def pretrain(features: np.ndarray, layer_sizes, cfg: RbmTrainConfig, on_epoch=No
     ``on_epoch(layer_index, epoch, recon_error)`` reports progress.
     Returns the list of trained RBMs.  ``rows`` selects the training rows
     of ``features`` (all when None): the first layer reads them by index
-    (:func:`train_rbm`), and the second layer's input comes from a float64
-    copy that lives only for that one product.
+    (:func:`train_rbm`), and the second layer's input comes from their
+    float64 copy (:func:`copy_rows`), which lives only for that one product.
     """
     data = np.atleast_2d(np.asarray(features))
-    if (data.shape[0] if rows is None else len(rows)) == 0:
+    rows = np.arange(data.shape[0]) if rows is None else np.asarray(rows)
+    if len(rows) == 0:
         raise EmptyDataError("pretraining data is empty")
 
     rbms = []
@@ -163,8 +156,8 @@ def pretrain(features: np.ndarray, layer_sizes, cfg: RbmTrainConfig, on_epoch=No
         rbm = train_rbm(data, replace(cfg, rng_seed=cfg.rng_seed + i), n_hidden=size, on_epoch=cb, rows=rows)
         rbms.append(rbm)
         if i + 1 < len(layer_sizes):  # the last layer's activations feed nothing
-            data = rbm.hidden_probabilities(data if rows is None else copy_rows(data, rows))
-            rows = None
+            data = rbm.hidden_probabilities(copy_rows(data, rows))
+            rows = np.arange(data.shape[0])
     return rbms
 
 
@@ -212,7 +205,9 @@ def backprop_gradients(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray):
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b = x.shape[0]
-    activations = forward_all(dbn.rbm_layers, x)
+    activations = [x]
+    for rbm in dbn.rbm_layers:
+        activations.append(rbm.hidden_probabilities(activations[-1]))
     top = activations[-1]
     dlogits = softmax(top @ dbn.translation_w + dbn.translation_b)
     loss = _mean_nll(dlogits, y_idx)
@@ -315,7 +310,7 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
             for _ in range(0, n, s.batch_size):
                 idx, z = ahead.result()
                 ahead = helper.submit(next, draws, None)
-                xb = xt[rt[idx]].astype(np.float64, copy=False)  # a new array: the gather copies
+                xb = copy_rows(xt, rt[idx])  # a new array, so the noise goes in place
                 if z is not None:
                     z *= s.input_noise_sigma
                     xb += z

@@ -226,14 +226,22 @@ class Rbm:
         return self.weights, self.visible_bias, self.hidden_bias
 
     def reconstruction_error(self, data: np.ndarray, rows=None, executor=None) -> float:
-        """Mean squared error between the rows ``rows`` of data (all when None) and their one-pass reconstruction.
+        """``np.mean((x - v1) ** 2)`` for the rows ``x = data[rows]`` and their reconstruction ``v1``, bit for bit.
 
-        ``executor`` as for :meth:`hidden_probabilities`.
+        ``rows`` of None means every row.  ``x`` is gathered into a float64
+        buffer ``v`` (:func:`copy_rows`), the reconstruction overwrites
+        ``v``, and ``x - v1`` reads ``data`` again row by row, so only ``v``
+        and the hidden probabilities are allocated.  ``executor`` as for
+        :meth:`hidden_probabilities`.
         """
         data = np.atleast_2d(np.asarray(data))
-        n = data.shape[0] if rows is None else len(rows)
-        return _reconstruction_error(self, data, np.empty((n, self.n_hidden)), np.empty((n, data.shape[1])), rows,
-                                     executor)
+        rows = range(len(data)) if rows is None else rows
+        v = copy_rows(data, rows)
+        self.visible_probabilities(self.hidden_probabilities(v, executor=executor), out=v, executor=executor)
+        for dst, r in zip(v, rows):
+            np.subtract(data[r], dst, out=dst)
+        np.square(v, out=v)
+        return float(np.mean(v))
 
     def cd1_update(
         self,
@@ -281,44 +289,24 @@ class Rbm:
             raise NumericError("non-finite RBM parameter after update")
 
 
-def copy_rows(data, rows, out=None):
-    """``data[rows].astype(np.float64)``, written into ``out`` if given.
+def copy_rows(data, rows):
+    """``data[rows].astype(np.float64)``: the one way stored rows become float64 rows.
 
     Row by row, so no gathered copy of ``data`` is made.
     """
-    if out is None:
-        out = np.empty((len(rows), data.shape[1]))
+    out = np.empty((len(rows), data.shape[1]))
     for dst, r in zip(out, rows):
         dst[...] = data[r]
     return out
-
-
-def _reconstruction_error(rbm: Rbm, data, h, v, rows=None, executor=None) -> float:
-    """``np.mean((x - v1) ** 2)`` for the rows ``x = data[rows]`` and their one-pass reconstruction ``v1``, bit for bit.
-
-    ``rows`` of None means every row.  ``v1`` is
-    ``rbm.visible_probabilities(rbm.hidden_probabilities(x))`` with ``x``
-    upcast.  ``x`` is copied into the C-ordered buffer ``v``
-    (n, n_visible), the passes write into ``h`` (n, n_hidden) and ``v``,
-    and ``x - v1`` reads ``data`` again row by row, so nothing of their
-    size is allocated here.
-    """
-    rows = range(len(data)) if rows is None else rows
-    rbm.hidden_probabilities(copy_rows(data, rows, out=v), out=h, executor=executor)
-    rbm.visible_probabilities(h, out=v, executor=executor)
-    for dst, r in zip(v, rows):
-        np.subtract(data[r], dst, out=dst)
-    np.square(v, out=v)
-    return float(np.mean(v))
 
 
 def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=None, rows=None) -> Rbm:
     """Train an RBM with CD-1 mini-batches for ``cfg.epochs`` or until convergence.
 
     The RBM learns the rows ``rows`` of ``data`` (all when None), read by
-    index: each batch is gathered and upcast on its own, so a float32
-    ``data`` is never copied whole.  The bytes are those of training on
-    ``data[rows].astype(np.float64)``.
+    index: each batch is gathered by :func:`copy_rows` on its own, so a
+    float32 ``data`` is never copied whole.  The bytes are those of
+    training on ``data[rows].astype(np.float64)``.
 
     Rows are reshuffled every epoch with the seeded generator.  After each
     epoch the full-data reconstruction error is computed and reported as
@@ -349,9 +337,8 @@ def train_rbm(data: np.ndarray, cfg: RbmTrainConfig, n_hidden: int, on_epoch=Non
             mom = cfg.initial_momentum if epoch < cfg.momentum_switch_epoch else cfg.momentum
             picks = rows[rng.permutation(n)]
             for start in range(0, n, cfg.batch_size):
-                # cd1_update upcasts the batch, and only the batch
-                rbm.cd1_update(data[picks[start : start + cfg.batch_size]], cfg, velocity, rng, momentum=mom,
-                               executor=helper)
+                batch = copy_rows(data, picks[start : start + cfg.batch_size])
+                rbm.cd1_update(batch, cfg, velocity, rng, momentum=mom, executor=helper)
             rbm.check_finite()
 
             err = rbm.reconstruction_error(data, rows, executor=helper)

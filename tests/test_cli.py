@@ -64,6 +64,19 @@ def copy_workspace(workspace, tmp_path):
     return p
 
 
+def spoil_feature_row(cfg, part, value):
+    """Write ``value`` into the first row of split part ``part`` (0 train, 1 validation, 2 test); returns its index."""
+    run = load_config(cfg)
+    _, rows = cli._load_features(run)
+    path = Path(run.paths.output_dir) / "features_combined.bin"
+    kind, x = read_features(path)
+    x = np.array(x)
+    row = ds.split_dataset(rows, run.split)[part][0].index
+    x[row, 5] = value
+    write_features(path, kind, x)
+    return row
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One tiny dataset + extraction + training shared by the read-only tests."""
@@ -372,6 +385,22 @@ class TestTrain:
         assert pretrained == []
         assert not list((tmp_path / "out").glob("*.hsdbn")) and not list((tmp_path / "out").glob("train_log*.csv"))
 
+    @pytest.mark.parametrize("part, value", [(1, np.nan), (0, 1e30)])
+    def test_bad_feature_value_exits_3_before_pretraining(self, workspace, tmp_path, capsys, monkeypatch, part,
+                                                          value):
+        # a NaN validation row used to exit 4 in stage 2, after all of pretraining; a 1e30 training row trained
+        # and evaluated with exit 0
+        cfg = copy_workspace(workspace, tmp_path)
+        (tmp_path / "out" / "model.hsdbn").unlink()
+        row = spoil_feature_row(cfg, part, value)
+        monkeypatch.setattr(cli.dbn_mod, "pretrain", lambda *a, **k: pytest.fail("pretrained"))
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"features_combined.bin: feature row {row} is not" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "model.hsdbn").exists()
+        assert not list((tmp_path / "out").glob("train_log*.csv"))
+
     # sizes whose weight matrix no overcommit setting can allocate: 10**12 units need 80 PB, and
     # 10**19 is past the largest dimension numpy indexes; both used to end in a numpy traceback
     @pytest.mark.parametrize("units", [10**12, 10**19])
@@ -426,6 +455,17 @@ class TestEval:
         assert avg["macro_recall"] == pytest.approx(np.mean(per_user))
         assert (tmp_path / "out" / "report_u00.json").exists()
         assert (tmp_path / "out" / "confusion_u01.csv").exists()
+
+    def test_nan_test_row_exits_3_in_eval_only(self, workspace, tmp_path, capsys):
+        # eval used to exit 4 on the NaN class scores; train does not read the test rows
+        cfg = copy_workspace(workspace, tmp_path)
+        row = spoil_feature_row(cfg, 2, np.nan)
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"features_combined.bin: feature row {row} is not" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_missing_model_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -15,11 +15,11 @@ from fingerspell.dbn import (
     backprop_gradients,
     cross_entropy_loss,
     fine_tune,
-    forward_all,
     load_model,
     pretrain,
     save_model,
     softmax,
+    top_activation,
     train_translation_layer,
 )
 from fingerspell.errors import (
@@ -30,6 +30,14 @@ from fingerspell.errors import (
     NumericError,
 )
 from fingerspell.rbm import BLOCK_ROWS, Rbm, RbmTrainConfig, train_rbm
+
+
+def per_layer_activations(layers, x):
+    """``[x, a1, ..., aL]``: the input, then ``sigmoid(a @ W + b)`` after each of ``layers``."""
+    activations = [x]
+    for rbm in layers:
+        activations.append(sigmoid(activations[-1] @ rbm.weights + rbm.hidden_bias))
+    return activations
 
 
 def toy_dbn(layer_dims=(6, 4, 3), n_classes=24, seed=0, scale=0.8):
@@ -117,30 +125,27 @@ class TestForward:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=4), st.integers(1, 64), st.integers(0, 2**32 - 1))
-    def test_forward_all_equals_per_layer_loop(self, dims, rows, seed):
-        # zero to three layers; every activation is the same bytes as sigmoid(x @ W + b), layer by layer
+    def test_top_activation_equals_per_layer_loop(self, dims, rows, seed):
+        # zero to three layers; the top activation is the same bytes as sigmoid(x @ W + b), layer by layer
         rng = np.random.default_rng(seed)
         layers = [Rbm(nv, nh, rng=rng, hidden_bias=rng.normal(size=nh)) for nv, nh in zip(dims, dims[1:])]
         x = rng.random((rows, dims[0]))
-        expected = [x]
-        for rbm in layers:
-            expected.append(sigmoid(expected[-1] @ rbm.weights + rbm.hidden_bias))
-        got = forward_all(layers, x)
-        assert got[0] is x and len(got) == len(expected)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        got = top_activation(layers, x)
+        assert got.tobytes() == per_layer_activations(layers, x)[-1].tobytes()
+        assert (got is x) == (not layers)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=4), st.integers(1, 64), st.booleans(),
            st.integers(0, 2**32 - 1))
-    def test_scores_equal_softmax_of_forward_all(self, dims, rows, float32, seed):
-        # scores holds only the current activation; the bytes are those of the whole forward_all list,
-        # for a batch and a vector, float32 input upcast
+    def test_scores_equal_softmax_of_per_layer_loop(self, dims, rows, float32, seed):
+        # scores holds only the current activation; the bytes are those of the per-layer loop that keeps
+        # every activation, for a batch and a vector, float32 input upcast
         rng = np.random.default_rng(seed)
         layers = [Rbm(nv, nh, rng=rng, hidden_bias=rng.normal(size=nh)) for nv, nh in zip(dims, dims[1:])]
         net = Dbn(layers, rng.normal(0, 0.5, (dims[-1], 24)), rng.normal(size=24))
         x = rng.random((rows, dims[0]), dtype=np.float32 if float32 else np.float64)
         for a in (x, x[0]):
-            top = forward_all(layers, a.astype(np.float64))[-1]
+            top = per_layer_activations(layers, a.astype(np.float64))[-1]
             assert net.scores(a).tobytes() == softmax(top @ net.translation_w + net.translation_b).tobytes()
 
     def test_softmax_stability(self):
@@ -217,7 +222,7 @@ class TestGradients:
         x = np.random.default_rng(11).random((4, 5))
         y = np.array([0, 5, 11, 23])
         _, _, gw_t, gb_t, _ = backprop_gradients(net, x, y)
-        top = forward_all(net.rbm_layers, x)[-1]
+        top = per_layer_activations(net.rbm_layers, x)[-1]
         probs = net.scores(x)
         dl = probs.copy()
         dl[np.arange(4), y] -= 1
@@ -372,7 +377,7 @@ class TestStage3:
         rng = np.random.default_rng(300 + rows)
         net = toy_dbn((rows, 7, 5), 24, seed=rows, scale=0.1)
         x, y = rng.random((16, rows)), rng.integers(0, 24, 16)
-        activations = forward_all(net.rbm_layers, x)
+        activations = per_layer_activations(net.rbm_layers, x)
         dlogits = softmax(activations[-1] @ net.translation_w + net.translation_b)
         dlogits[np.arange(16), y] -= 1.0
         dlogits /= 16

@@ -11,7 +11,7 @@ from scipy.special import expit
 import fingerspell.rbm as rbm_mod
 from fingerspell.errors import DimensionMismatchError, EmptyDataError
 from fingerspell.rbm import (
-    BLOCK_ROWS, SPLIT_ALIGN, SPLIT_MIN_WORK, Rbm, RbmTrainConfig, _activation, _reconstruction_error, param_step,
+    BLOCK_ROWS, SPLIT_ALIGN, SPLIT_MIN_WORK, Rbm, RbmTrainConfig, _activation, param_step,
     sample_bernoulli, train_rbm,
 )
 
@@ -480,18 +480,21 @@ class TestReconstructionError:
         assert r.reconstruction_error(data) == pytest.approx(0.25)
 
     def test_in_place_error_allocates_no_pass_buffer(self):
-        # the helper thread of train_rbm runs this on buffers its caller owns
+        # train_rbm reads float32 rows by index: the error allocates its pass buffers v (the rows' float64 copy,
+        # 3.2 MB) and h (160 kB), and np.mean its own 64 kB; a float32 gather (1.6 MB) or x - v1 (3.2 MB) would
+        # exceed the bound
         rng = np.random.default_rng(9)
         r = make_rbm(rng.normal(0, 0.1, (2000, 100)))
-        data = rng.random((200, 2000))
-        h, v = np.empty((200, 100)), np.empty(data.shape)
+        x = rng.random((400, 2000), dtype=np.float32)
+        rows = rng.permutation(400)[:200]
+        v_and_h = 200 * (2000 + 100) * 8
         tracemalloc.start()
         try:
-            _reconstruction_error(r, data, h, v)
+            r.reconstruction_error(x, rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < h.nbytes  # 160 kB; np.mean's own buffer takes 64 kB
+        assert peak < v_and_h + 2**16 + 2**14, peak - v_and_h
 
 
 def template_dataset(n=200, n_templates=16, width=64, flip=0.02, seed=0):

@@ -14,6 +14,7 @@ the bytes of training on their float64 copy.
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ import fingerspell.dbn as dbn_mod
 import fingerspell.rbm as rbm_mod
 from fingerspell.dbn import pretrain
 from fingerspell.errors import NumericError
-from fingerspell.rbm import Rbm, RbmTrainConfig, _reconstruction_error, train_rbm
+from fingerspell.rbm import Rbm, RbmTrainConfig, train_rbm
 
 
 def ref_reconstruction_error(rbm, data):
@@ -192,18 +193,30 @@ def test_pretrain_over_two_layers_matches_sequential_loop(monkeypatch):
     assert all(epochs_run) and min(epochs_run) < cfg.epochs
 
 
-def test_pretrain_over_two_layers_on_float32_rows_matches_their_float64_copy(monkeypatch):
-    # the second layer learns from a float64 copy of the rows that pretrain makes itself
+def ref_pretrain(data, layer_sizes, cfg, on_epoch):
+    """Greedy pretraining on the whole float64 array: each layer learns all of the previous layer's activations."""
+    rbms = []
+    for i, size in enumerate(layer_sizes):
+        cb = lambda e, err, _i=i: on_epoch(_i, e, err)
+        rbms.append(ref_train_rbm(data, replace(cfg, rng_seed=cfg.rng_seed + i), n_hidden=size, on_epoch=cb))
+        data = rbms[-1].hidden_probabilities(data)
+    return rbms
+
+
+def test_pretrain_over_two_layers_on_float32_rows_matches_their_float64_copy():
+    # rows picked by index, and every row (rows=None) of float32 and of float64 input, give the bytes of the
+    # whole-array loop on the float64 copy of those rows; the second layer learns from a copy pretrain makes
     x = np.random.default_rng(3).random((150, 30), dtype=np.float32)
     idx = np.random.default_rng(4).permutation(150)[:70]
     cfg = RbmTrainConfig(epochs=40, batch_size=16, convergence_tol=0.02, convergence_window=2, rng_seed=11)
-    log, ref_log = [], []
-    rbms = pretrain(x, [12, 6], cfg, on_epoch=lambda *a: log.append(a), rows=idx)
-    monkeypatch.setattr(dbn_mod, "train_rbm", ref_train_rbm)
-    ref_rbms = pretrain(x[idx].astype(np.float64), [12, 6], cfg, on_epoch=lambda *a: ref_log.append(a))
-    assert [params_bytes(r) for r in rbms] == [params_bytes(r) for r in ref_rbms]
-    assert log == ref_log
-    assert {layer for layer, _, _ in log} == {0, 1}
+    ref_log = []
+    ref_rbms = ref_pretrain(x[idx].astype(np.float64), [12, 6], cfg, on_epoch=lambda *a: ref_log.append(a))
+    assert {layer for layer, _, _ in ref_log} == {0, 1}
+    for data, rows in ((x, idx), (x[idx], None), (x[idx].astype(np.float64), None)):
+        log = []
+        rbms = pretrain(data, [12, 6], cfg, on_epoch=lambda *a: log.append(a), rows=rows)
+        assert [params_bytes(r) for r in rbms] == [params_bytes(r) for r in ref_rbms]
+        assert log == ref_log
 
 
 CHECK_FINITE = Rbm.check_finite
@@ -254,17 +267,15 @@ def check_in_place_error(n, visible, hidden, seed):
     rbm = Rbm(visible, hidden, weights=rng.normal(0, 0.5, (visible, hidden)),
               visible_bias=rng.normal(0, 0.5, visible), hidden_bias=rng.normal(0, 0.5, hidden))
     data = rng.random((n, visible))
-    h, v = np.empty((n, hidden)), np.empty((n, visible))
-    expected = ref_reconstruction_error(rbm, data)
-    assert _reconstruction_error(rbm, data, h, v) == expected
-    assert rbm.reconstruction_error(data) == expected
+    assert rbm.reconstruction_error(data) == ref_reconstruction_error(rbm, data)
     data32 = data.astype(np.float32)
+    expected = ref_reconstruction_error(rbm, data32.astype(np.float64))
     x, idx = float32_rows(data32, seed)  # the same rows, picked by index from a larger float32 matrix
-    assert _reconstruction_error(rbm, x, h, v, idx) == ref_reconstruction_error(rbm, data32.astype(np.float64))
-    assert rbm.reconstruction_error(data32) == ref_reconstruction_error(rbm, data32.astype(np.float64))
+    assert rbm.reconstruction_error(x, idx) == expected
+    assert rbm.reconstruction_error(data32) == expected
     with ThreadPoolExecutor(max_workers=1) as executor:
         for call in range(2):  # the first call checks the split, the second uses it where it gives the same bytes
-            assert rbm.reconstruction_error(x, idx, executor) == ref_reconstruction_error(rbm, data32.astype(np.float64))
+            assert rbm.reconstruction_error(x, idx, executor) == expected
 
 
 @settings(max_examples=40, deadline=None)
