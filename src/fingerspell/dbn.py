@@ -79,11 +79,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def top_activation(layers, x: np.ndarray) -> np.ndarray:
-    """The sigmoid activations after the last of ``layers`` (``x`` for none); each is dropped once the next is made."""
+def top_activation(layers, x: np.ndarray, rows=None) -> np.ndarray:
+    """The sigmoid activations after the last of ``layers`` (``x`` for none); each is dropped once the next is made.
+
+    With ``rows``, the input is those rows of the stored matrix ``x`` (:meth:`Rbm.hidden_probabilities`).
+    """
     for rbm in layers:
-        x = rbm.hidden_probabilities(x)
-    return x
+        x, rows = rbm.hidden_probabilities(x, rows=rows), None
+    return x if rows is None else copy_rows(x, rows)
 
 
 class Dbn:
@@ -115,15 +118,16 @@ class Dbn:
     def input_dim(self) -> int:
         return self.rbm_layers[0].n_visible if self.rbm_layers else self.translation_w.shape[0]
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities for a vector or a batch.
+    def scores(self, x: np.ndarray, rows=None) -> np.ndarray:
+        """Softmax class probabilities for a vector or a batch, or for the rows ``rows`` of a stored matrix ``x``.
 
-        A float64 copy of a float32 ``x`` lives only until the first layer's activations exist.
+        A float64 copy of a float32 ``x`` lives only until the first layer's
+        activations exist; ``rows`` reach that layer in row chunks.
         """
         x = np.asarray(x)
         if x.shape[-1] != self.input_dim:
             raise DimensionMismatchError(f"input length {x.shape[-1]} != {self.input_dim}")
-        top = top_activation(self.rbm_layers, x.astype(np.float64, copy=False))
+        top = top_activation(self.rbm_layers, x if rows is not None else x.astype(np.float64, copy=False), rows)
         return softmax(top @ self.translation_w + self.translation_b)
 
     def forward(self, x: np.ndarray) -> Prediction:
@@ -180,9 +184,15 @@ def _mean_nll(probs: np.ndarray, y_idx: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
-def cross_entropy_loss(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray) -> float:
-    """Mean softmax cross-entropy of a labeled batch (no decay terms)."""
-    return _mean_nll(dbn.scores(np.atleast_2d(x)), y_idx)
+def cross_entropy_loss(dbn: Dbn, x: np.ndarray, y_idx: np.ndarray, rows=None) -> float:
+    """Mean softmax cross-entropy of a labeled batch (no decay terms).
+
+    The batch is ``x``, or with ``rows`` the rows ``rows`` of the stored
+    matrix ``x``; the first layer then reads them in row chunks, checked
+    once per process against the whole product (:func:`rbm._activation`),
+    so the loss is that of their float64 copy to the last bit.
+    """
+    return _mean_nll(dbn.scores(np.atleast_2d(x), rows=rows), y_idx)
 
 
 def _row_blocks(left, right):
@@ -281,6 +291,15 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
     and the best-validation parameters are restored in place.
     ``on_epoch(epoch, train_loss, valid_loss)``.
 
+    A network with RBM layers never holds the validation rows as a float64
+    copy.  With ``frozen`` layers their activations are computed once, at
+    the start; with RBM layers to train, :func:`cross_entropy_loss` gets
+    the rows by keyword each epoch.  Either way the first layer reads them
+    in row chunks, checked against the whole product the first time their
+    count and shape come up in the process (:func:`rbm._activation`);
+    stage 2 makes that check, before any best-parameter snapshot exists.
+    A network without them holds that copy, its loss's input.
+
     One helper thread makes the next batch's draws (:func:`_draws`) while
     this thread trains on the current batch, so the draws hide behind the
     batch's arithmetic.  Only the helper draws from ``rng``, in
@@ -301,8 +320,9 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
     draws = _draws(n, s, rng, noise)
     with ThreadPoolExecutor(max_workers=2) as helper:
         ahead = helper.submit(next, draws, None)
-        top_v = top_activation(frozen, copy_rows(xv, rv))  # frozen layers give the same activations every epoch
-        best_loss = cross_entropy_loss(net, top_v, yv)
+        if frozen or not net.rbm_layers:  # the loss's input is the same every epoch
+            xv, rv = top_activation(frozen, xv, rv), None
+        best_loss = cross_entropy_loss(net, xv, yv, rows=rv)
         best = [p.copy() for p in params]
         since_best = 0
         for epoch in range(s.epochs):
@@ -325,7 +345,7 @@ def _run_stage(net: Dbn, frozen, train, valid, s: StageConfig, rng, on_epoch) ->
                 rbm.check_finite()
             if not np.all(np.isfinite(net.translation_w)):
                 raise NumericError("non-finite translation weights")
-            val_loss = cross_entropy_loss(net, top_v, yv)
+            val_loss = cross_entropy_loss(net, xv, yv, rows=rv)
             if on_epoch is not None:
                 on_epoch(epoch, float(np.mean(losses)), val_loss)
             if val_loss < best_loss:

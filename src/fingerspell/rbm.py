@@ -41,7 +41,23 @@ class RbmTrainConfig:
         check_fields(self, "finite and >= 0", "l1_coeff", "l2_coeff", "convergence_tol")
 
 
-BLOCK_ROWS = 256  # rows per block of param_step; 64 to 512 time the same
+# Rows per block of param_step.  A 10240x200 step with L1 and L2 on one
+# thread of a 2-vCPU x86 host took a median 9.9 ms with 256-row blocks,
+# 8.9 ms with 128, 9.2 ms with 64 and 12.3 ms with 512.  256 stays: CD-1's
+# weight gradient is made of block products of this many rows, so another
+# size changes the model bytes.
+BLOCK_ROWS = 256
+
+
+def _blocks(n, size) -> list:
+    """``(start, stop)`` of ``n`` rows in blocks of ``size``; a lone last row joins the block before it.
+
+    numpy takes a one-row matrix product as a matrix-vector product, which
+    sums in another order than the whole-array product that a block must
+    match.
+    """
+    starts = [start for start in range(0, n, size) if start == 0 or n - start > 1]
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _in_two(executor, fn, lower: tuple, upper: tuple) -> None:
@@ -85,11 +101,7 @@ def param_step(param, velocity, grad, momentum, rate, l2=None, l1=None, executor
     rows = lambda a: a if a.ndim == 2 else a[np.newaxis]
     p, v = rows(param), rows(velocity)
     n = p.shape[0]
-    # a lone last row joins the block before it: numpy takes a one-row matrix
-    # product as a matrix-vector product, which sums in another order than
-    # the whole-array product that a block gradient must match
-    starts = [start for start in range(0, n, BLOCK_ROWS) if start == 0 or n - start > 1]
-    blocks = list(zip(starts, starts[1:] + [n]))
+    blocks = _blocks(n, BLOCK_ROWS)
 
     def steps(part, out_rows, tmp_rows):
         for start, stop in part:
@@ -132,15 +144,28 @@ SPLIT_MIN_WORK = 2**24
 # product at each RBM shape tried (10240x1500, 1500x700, 700x400 and
 # 10240x200, both ways round); an unaligned split did not.
 SPLIT_ALIGN = 32
-# (shape, layout) -> whether the split product gave the whole product's
-# bytes, found by the first product of that shape in this process.  The
-# answer depends only on the shapes, the layouts and the process's BLAS, so
-# every caller shares it.  At two BLAS threads some aligned splits differ
-# (100x1500 @ 1500x700 does).
+# A product over rows gathered from a stored matrix (``rows`` of
+# _activation) runs on chunks of this many rows.  On 96 to 300 rows, 48-row
+# chunks gave every byte of the whole product at 10240x200 at one and two
+# BLAS threads and at 10240x1500 at one; 10240x1500 at two threads and
+# 200x100 at either did not.
+CHUNK_ROWS = 48
+# The key of a product computed in parts -> whether the parts gave the whole
+# product's bytes, found by the first product of that key in this process:
+# (shape, layout) of both factors for a column split, ("rows", row count, w's
+# shape and layout) for row chunks.  The answer depends only on the shapes,
+# the layouts and the process's BLAS, so every caller shares it.  At two BLAS
+# threads some aligned splits differ (100x1500 @ 1500x700 does).
 _SPLIT_EXACT = {}
 
 
-def _activation(x, w, bias, out=None, executor=None) -> np.ndarray:
+def _check_parts(key, out, whole) -> None:
+    """Record whether ``out``, just computed in parts, equals ``whole(out)``, which overwrites it with the whole product."""
+    parts = hashlib.sha256(out).digest()
+    _SPLIT_EXACT[key] = hashlib.sha256(whole(out)).digest() == parts
+
+
+def _activation(x, w, bias, out=None, executor=None, rows=None) -> np.ndarray:
     """``sigmoid(x @ w + bias)``, written into the C-ordered ``out`` if given.
 
     With an ``executor``, a batch product of ``SPLIT_MIN_WORK`` or more
@@ -150,7 +175,29 @@ def _activation(x, w, bias, out=None, executor=None) -> np.ndarray:
     product of each shape and layout is computed split and then whole; the
     whole result is used, and later products of that shape are split only
     if the two gave the same bytes.
+
+    With ``rows``, the batch is those rows of the stored matrix ``x``, to
+    the bit as their float64 copy (:func:`copy_rows`).  They are gathered
+    ``CHUNK_ROWS`` at a time into one buffer, each chunk's product filling
+    its rows of ``out``, under the split's check keyed by the row count and
+    ``w``'s shape and layout; a refused count and shape multiply the copy.
+    ``executor`` is not used then.
     """
+    if rows is not None:
+        out = np.empty((len(rows), w.shape[1])) if out is None else out
+        key = ("rows", len(rows), w.shape, w.strides)
+        whole = lambda o: np.matmul(copy_rows(x, rows), w, out=o)
+        exact = _SPLIT_EXACT.get(key)
+        if exact is False:
+            whole(out)
+        else:
+            chunk = np.empty((min(len(rows), CHUNK_ROWS + 1), x.shape[1]))
+            for start, stop in _blocks(len(rows), CHUNK_ROWS):
+                np.matmul(copy_rows(x, rows[start:stop], out=chunk[: stop - start]), w, out=out[start:stop])
+            if exact is None:
+                _check_parts(key, out, whole)
+        out += bias
+        return sigmoid(out, out=out)
     if out is None:
         out = np.empty(x.shape[:-1] + w.shape[1:])
     cut = w.shape[1] // 2 // SPLIT_ALIGN * SPLIT_ALIGN
@@ -168,8 +215,7 @@ def _activation(x, w, bias, out=None, executor=None) -> np.ndarray:
         _in_two(executor, block, (slice(None, cut),), (slice(cut, None),))
         if exact:
             return out
-        split = hashlib.sha256(out).digest()
-        _SPLIT_EXACT[key] = hashlib.sha256(np.matmul(x, w, out=out)).digest() == split
+        _check_parts(key, out, lambda o: np.matmul(x, w, out=o))
     else:
         np.matmul(x, w, out=out)
     out += bias
@@ -201,18 +247,20 @@ class Rbm:
         if self.visible_bias.shape != (self.n_visible,) or self.hidden_bias.shape != (self.n_hidden,):
             raise DimensionMismatchError("bias length disagrees with unit counts")
 
-    def hidden_probabilities(self, v: np.ndarray, out=None, executor=None) -> np.ndarray:
+    def hidden_probabilities(self, v: np.ndarray, out=None, executor=None, rows=None) -> np.ndarray:
         """P(h=1 | v) = sigmoid(v W + hidden_bias); accepts a vector or a batch.
 
         ``out``, if given, is a C-ordered buffer of the result's shape that
         receives it, so the call allocates nothing of that size.  An
-        ``executor`` shares a large batch product with this thread, with
-        unchanged bytes (see :func:`_activation`).
+        ``executor`` shares a large batch product with this thread, and
+        ``rows`` makes the batch the rows ``rows`` of the stored matrix
+        ``v``, read in row chunks; both keep the bytes (see
+        :func:`_activation`).
         """
-        v = np.asarray(v, dtype=np.float64)
+        v = np.asarray(v) if rows is not None else np.asarray(v, dtype=np.float64)
         if v.shape[-1] != self.n_visible:
             raise DimensionMismatchError(f"visible vector length {v.shape[-1]} != {self.n_visible}")
-        return _activation(v, self.weights, self.hidden_bias, out, executor)
+        return _activation(v, self.weights, self.hidden_bias, out, executor, rows)
 
     def visible_probabilities(self, h: np.ndarray, out=None, executor=None) -> np.ndarray:
         """P(v=1 | h) = sigmoid(h W^T + visible_bias); ``out`` and ``executor`` as for :meth:`hidden_probabilities`."""
@@ -289,12 +337,13 @@ class Rbm:
             raise NumericError("non-finite RBM parameter after update")
 
 
-def copy_rows(data, rows):
-    """``data[rows].astype(np.float64)``: the one way stored rows become float64 rows.
+def copy_rows(data, rows, out=None):
+    """``data[rows].astype(np.float64)``, written into ``out`` if given: the one way stored rows become float64 rows.
 
     Row by row, so no gathered copy of ``data`` is made.
     """
-    out = np.empty((len(rows), data.shape[1]))
+    if out is None:
+        out = np.empty((len(rows), data.shape[1]))
     for dst, r in zip(out, rows):
         dst[...] = data[r]
     return out

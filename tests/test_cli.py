@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -722,6 +723,72 @@ class TestPredict:
         assert messages["zero_depth"] == "error: depth image has no nonzero pixel\n"
         assert messages["bad_model"] != messages["zero_depth"]
         assert messages["bad_model_and_zero_depth"] == messages["zero_depth"]
+
+
+def model_faults(model, tmp_path):
+    """A model file with each fault that ``predict`` and ``eval`` must report, as ``{fault: (path, exit code)}``."""
+    good = model.read_bytes()
+    tmp_path.mkdir()
+    faults = {name: tmp_path / f"{name}.hsdbn" for name in ("missing", "directory", "empty", "truncated",
+                                                             "wrong_magic", "nan_weights")}
+    faults["directory"].mkdir()
+    faults["empty"].write_bytes(b"")
+    faults["truncated"].write_bytes(good[: len(good) // 2])  # inside rbm1.weights, most of the file
+    faults["wrong_magic"].write_bytes(b"HSDBN0" + good[6:])
+    net = load_model(model)
+    net.rbm_layers[0].weights[:] = np.nan
+    save_model(net, faults["nan_weights"])
+    return {name: (path, 4 if name == "nan_weights" else 3) for name, path in faults.items()}
+
+
+def depth_faults(depth, tmp_path):
+    """A depth PGM with each fault that ``predict`` must report, and its intensity PGM, as ``{fault: (pair, 3)}``."""
+    good, intensity = depth.read_bytes(), str(depth).replace("_depth", "_intensity")
+    tmp_path.mkdir()
+    faults = {}
+
+    def pair(name, depth_bytes=None, shape=None, value=700):
+        path = tmp_path / f"{name}_depth.pgm"
+        if shape is None:
+            path.write_bytes(depth_bytes)
+            faults[name] = ([str(path), intensity], 3)
+            return
+        write_pgm(path, np.full(shape, value, dtype=np.uint16))
+        write_pgm(tmp_path / f"{name}_intensity.pgm", np.full(shape, 90, dtype=np.uint8))
+        faults[name] = ([str(path), str(tmp_path / f"{name}_intensity.pgm")], 3)
+
+    pair("truncated_pixels", good[:-10])
+    pair("maxval_zero", b"P5\n64 64\n0\n" + bytes(64 * 64))
+    pair("all_zero", shape=(64, 64), value=0)
+    pair("side_below_32", shape=(16, 64))
+    pair("side_above_256", shape=(64, 300))
+    return faults
+
+
+def test_fault_matrix_exits_with_its_code_and_no_traceback(workspace, tmp_path):
+    # each command runs in its own process against each fault of each artifact it reads, two processes at a time
+    cfg = copy_workspace(workspace, tmp_path)
+    depth = next((workspace[0] / "data" / "images").glob("*_depth.pgm"))
+    images = [str(depth), str(depth).replace("_depth", "_intensity")]
+    runs = {}
+    for fault, (path, code) in model_faults(tmp_path / "out" / "model.hsdbn", tmp_path / "models").items():
+        runs[f"predict, model {fault}"] = (["predict", "--model", str(path), *images], code)
+        runs[f"eval, model {fault}"] = (["eval", "--model", str(path)], code)
+    for fault, (pair, code) in depth_faults(depth, tmp_path / "images").items():
+        runs[f"predict, depth {fault}"] = (["predict", *pair], code)
+    pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+
+    def run(argv):
+        cmd = [sys.executable, "-m", "fingerspell.cli", argv[0], "--config", str(cfg), *argv[1:]]
+        return subprocess.run(cmd, env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True,
+                              timeout=120)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        done = dict(zip(runs, pool.map(run, [argv for argv, _ in runs.values()])))
+    wrong = {case: (out.returncode, out.stderr) for case, out in done.items()
+             if out.returncode != runs[case][1] or "Traceback" in out.stderr or not out.stderr}
+    assert not wrong
+    assert len(done) == 17
 
 
 @pytest.fixture(scope="module")

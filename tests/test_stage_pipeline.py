@@ -8,16 +8,22 @@ between the calling thread and a helper wherever a weight matrix has two
 or more blocks of rows.  The other tests check that the stage's helper
 threads are gone when the stage returns or raises, and that only the
 calling thread runs the network.  A stage fed float32 rows picked by
-index must give the bytes of the sequential loop on their float64 copy.
+index must give the bytes of the sequential loop on their float64 copy,
+whether the first layer scores the validation rows in row chunks or, where
+the chunks' check finds other bytes, whole; and stage 3 must not hold the
+validation rows' float64 copy.
 """
 
 import threading
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import expit as sigmoid
 
 import fingerspell.dbn as dbn_mod
+import fingerspell.rbm as rbm_mod
 from fingerspell.alphabet import STATIC_LETTERS
 from fingerspell.dbn import (
     Dbn,
@@ -29,7 +35,7 @@ from fingerspell.dbn import (
     train_translation_layer,
 )
 from fingerspell.errors import NumericError
-from fingerspell.rbm import Rbm, param_step
+from fingerspell.rbm import CHUNK_ROWS, Rbm, param_step
 
 
 def ref_top_activations(layers, x):
@@ -109,9 +115,15 @@ def float32_rows(rows, dim, seed):
     return x, [STATIC_LETTERS[i % 24] for i in range(rows)], rng.permutation(len(x))[:rows]
 
 
-def float64_copy(rows, dim, seed):
-    """``float32_rows``' set as the float64 copy of its rows."""
+def skewed_rows(rows, dim, seed):
+    """``float32_rows``' set with two labels in three an "A", so that a stage lowers the validation loss."""
     x, labels, idx = float32_rows(rows, dim, seed)
+    return x, [label if i % 3 == 2 else "A" for i, label in enumerate(labels)], idx
+
+
+def float64_copy(rows, dim, seed, data=float32_rows):
+    """``data``'s set as the float64 copy of its rows."""
+    x, labels, idx = data(rows, dim, seed)
     return x[idx].astype(np.float64), labels
 
 
@@ -139,14 +151,14 @@ CASES = {
 }
 
 
-def run_stage(stage, stage_cfg, dims=(40, 12, 8), data=labeled):
+def run_stage(stage, stage_cfg, dims=(40, 12, 8), data=labeled, n_valid=20):
     net = small_net(dims)
     log = []
     if stage is fine_tune:
         cfg = SupervisedTrainConfig(stage3=stage_cfg, rng_seed=8)
     else:
         cfg = SupervisedTrainConfig(stage2=stage_cfg, stage3=StageConfig(learning_rate=0.01), rng_seed=8)
-    stage(net, data(45, dims[0], seed=1), data(20, dims[0], seed=2), cfg, on_epoch=lambda *a: log.append(a))
+    stage(net, data(45, dims[0], seed=1), data(n_valid, dims[0], seed=2), cfg, on_epoch=lambda *a: log.append(a))
     return net, log
 
 
@@ -174,6 +186,65 @@ def test_float32_rows_match_sequential_loop_on_their_float64_copy(name, monkeypa
     assert not models_equal(net, small_net(*dims))
     if name == "stage2_stops_on_patience":
         assert len(log) < stage_cfg.epochs
+
+
+class RefusedChunks(dict):
+    """A record of product checks in which every row-chunk check found other bytes than the whole product."""
+
+    def __setitem__(self, key, exact):
+        super().__setitem__(key, exact and key[0] != "rows")
+
+
+def row_chunk_checks():
+    """The row-chunk entries of the process's record of product checks."""
+    return [exact for key, exact in rbm_mod._SPLIT_EXACT.items() if key[0] == "rows"]
+
+
+@pytest.mark.parametrize("checks", [dict, RefusedChunks], ids=["checked", "refused"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_chunked_validation_rows_match_sequential_loop(name, checks, monkeypatch, models_equal):
+    # 101 validation rows are two chunks of 48 and a short one; the first layer's product over them is checked
+    # once, here, and then chunked or, where the check refused it, computed whole
+    _, stage_cfg, *dims = CASES[name]
+    assert 101 % CHUNK_ROWS
+    monkeypatch.setattr(rbm_mod, "_SPLIT_EXACT", checks())
+    net, log = run_stage(*CASES[name], data=skewed_rows, n_valid=101)
+    chunked = row_chunk_checks()
+    assert len(chunked) == 1
+    if checks is RefusedChunks:
+        assert chunked == [False]
+    monkeypatch.setattr(dbn_mod, "_run_stage", ref_run_stage)
+    ref_net, ref_log = run_stage(*CASES[name], data=partial(float64_copy, data=skewed_rows), n_valid=101)
+    assert models_equal(net, ref_net)
+    assert log == ref_log
+    assert not models_equal(net, small_net(*dims))
+    if name == "stage2_stops_on_patience":
+        assert len(log) < stage_cfg.epochs
+
+
+def test_stage3_allocates_no_float64_copy_of_the_validation_rows(monkeypatch):
+    # stage 2 checks the first layer's row chunks over the 250 validation rows; where the chunks gave the whole
+    # product's bytes, stage 3 scores the rows chunk by chunk, in a 49-row buffer (100 kB), and never holds
+    # their float64 copy (512 kB) as it used to. The class scores and their softmax take about 0.9 kB a row
+    monkeypatch.setattr(rbm_mod, "_SPLIT_EXACT", {})
+    net = small_net((256, 12, 8))
+    train, valid = float32_rows(45, 256, seed=1), float32_rows(250, 256, seed=2)
+    cfg = SupervisedTrainConfig(
+        stage2=StageConfig(learning_rate=0.3, epochs=2, batch_size=10, input_noise_sigma=0.1),
+        stage3=StageConfig(learning_rate=0.05, epochs=3, batch_size=10, input_noise_sigma=0.1),
+        rng_seed=8,
+    )
+    train_translation_layer(net, train, valid, cfg)
+    (exact,) = row_chunk_checks()
+    if not exact:
+        pytest.skip("this BLAS gives other bytes for the chunks of 250 x 256 @ 256 x 12, so stage 3 scores them whole")
+    tracemalloc.start()
+    try:
+        fine_tune(net, train, valid, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(valid[2]) * valid[0].shape[1] * 8, peak
 
 
 def count_helper_threads(call):
