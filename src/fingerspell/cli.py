@@ -325,8 +325,7 @@ def cmd_predict(cfg: RunConfig, depth_path, intensity_path) -> int:
     net = dbn_mod.load_model(cfg.paths.model)
     prediction = net.forward(x)
     print(f"predicted: {prediction.label}")
-    order = np.argsort(prediction.scores)[::-1]
-    for i in order:
+    for i in np.argsort(-prediction.scores, kind="stable"):  # tied scores in class order, on any SIMD level
         print(f"  {net.class_labels[i]} {prediction.scores[i]:.12f}")
     return EXIT_OK
 

@@ -10,11 +10,11 @@ time, for CD-1 and for the supervised stages alike.
 """
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from fingerspell.errors import ConfigError, DimensionMismatchError, EmptyDataError, NumericError, check_fields
 
@@ -197,7 +197,7 @@ def _activation(x, w, bias, out=None, executor=None, rows=None) -> np.ndarray:
             if exact is None:
                 _check_parts(key, out, whole)
         out += bias
-        return sigmoid(out, out=out)
+        return sigmoid(out, out)
     if out is None:
         out = np.empty(x.shape[:-1] + w.shape[1:])
     cut = w.shape[1] // 2 // SPLIT_ALIGN * SPLIT_ALIGN
@@ -210,7 +210,7 @@ def _activation(x, w, bias, out=None, executor=None, rows=None) -> np.ndarray:
             np.matmul(x, w[:, cols], out=o)
             if exact:
                 o += bias[cols]
-                sigmoid(o, out=o)
+                sigmoid(o, o)
 
         _in_two(executor, block, (slice(None, cut),), (slice(cut, None),))
         if exact:
@@ -219,7 +219,57 @@ def _activation(x, w, bias, out=None, executor=None, rows=None) -> np.ndarray:
     else:
         np.matmul(x, w, out=out)
     out += bias
-    return sigmoid(out, out=out)
+    return sigmoid(out, out)
+
+
+# Elements per chunk of sigmoid's complex buffer (64 KiB), which each call
+# makes for itself, so both halves of a split product can run it at once.
+# Chunks of 2**15 ran a 36x10240 batch about 10% faster (4.1 against 4.6
+# ms), but their 512 KiB buffer is more than a reconstruction-error pass
+# may add to its own buffers (80 KiB; tests/test_rbm.py).
+SIGMOID_CHUNK = 2**12
+
+
+def sigmoid(x, out) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` of a 1-D or 2-D float64 ``x``, written into ``out`` (which may be ``x``); returns ``out``.
+
+    The bytes are those of ``scipy.special.expit``, which calls the C
+    library's ``exp``; scipy is not imported.  numpy's float64 ``exp`` is
+    a SIMD kernel of its own that differs from it in the last bit on some
+    values.  numpy's complex ``exp`` calls the C library's ``cexp``, whose
+    real part at a zero imaginary part is that ``exp`` except where glibc
+    scales an argument above 709 (and returns the largest double, not
+    infinity, above 2127).  So ``-x`` goes into the real part of a
+    zero-imaginary complex buffer, ``SIGMOID_CHUNK`` elements at a time,
+    each element with ``-x > 709`` or a NaN is recomputed by ``math.exp``,
+    and ``1 + exp(-x)`` goes into ``out``, which one division then turns
+    into the result.  On a 2-vCPU x86 host a 36x10240 batch took about
+    twice as long as with ``expit`` (4.6 against 2.1 ms).
+    """
+    xs, outs = np.atleast_2d(x, out)
+    n, width = outs.shape
+    cols = min(width, SIGMOID_CHUNK) or 1
+    step = SIGMOID_CHUNK // cols
+    buf = np.zeros((min(n, step), cols), dtype=np.complex128)
+    for r in range(0, n, step):
+        for c in range(0, width, cols):
+            src = xs[r : r + step, c : c + cols]
+            z = buf[: src.shape[0], : src.shape[1]]
+            e = z.real
+            np.negative(src, out=e)
+            if src.min() >= -709:  # False for a NaN too
+                np.exp(z, out=z)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.exp(z, out=z)
+                for i in zip(*np.nonzero(~(src >= -709))):
+                    try:
+                        e[i] = math.exp(-src[i])
+                    except OverflowError:
+                        e[i] = math.inf
+                    z.imag[i] = 0  # so the buffer stays zero-imaginary, whatever cexp left here
+            np.add(e, 1, out=outs[r : r + step, c : c + cols])
+    return np.divide(1, out, out=out)
 
 
 def sample_bernoulli(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:

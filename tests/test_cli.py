@@ -25,7 +25,7 @@ from fingerspell.config import config_to_dict, load_config
 from fingerspell.dbn import Dbn, load_model, save_model
 from fingerspell.dataset import load_dataset
 from fingerspell.errors import ConfigError
-from fingerspell.features import extract_features, read_features, write_features
+from fingerspell.features import FEATURE_MAGIC, extract_features, read_features, write_features
 from fingerspell.pgm import read_pgm, write_pgm
 
 
@@ -537,6 +537,19 @@ class TestPredict:
         assert scores == sorted(scores, reverse=True)
         assert out[0].split()[1] == out[1].split()[0]
 
+    def test_tied_scores_print_in_class_order(self, workspace, tmp_path, capsys):
+        # printed in np.argsort(scores)[::-1] order, 24 equal scores came out YXWV...A at one SIMD level of numpy's
+        # sort and YXBCD...WA at another, each under the label A
+        cfg = copy_workspace(workspace, tmp_path)
+        model = tmp_path / "out" / "model.hsdbn"
+        net = load_model(model)
+        save_model(Dbn(net.rbm_layers, np.zeros_like(net.translation_w), np.zeros_like(net.translation_b)), model)
+        depth = next((workspace[0] / "data" / "images").glob("*_depth.pgm"))
+        assert main(["predict", "--config", str(cfg), str(depth), str(depth).replace("_depth", "_intensity")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "predicted: A"
+        assert [line.split() for line in out[1:]] == [[letter, f"{1 / 24:.12f}"] for letter in STATIC_LETTERS]
+
     def test_identical_runs(self, workspace, capsys):
         tmp_path, cfg = workspace
         depth = next((tmp_path / "data" / "images").glob("*_depth.pgm"))
@@ -637,7 +650,8 @@ class TestPredict:
         net = load_model(cfg.paths.model)
         prediction = net.forward(x)
         lines = [f"predicted: {prediction.label}"]
-        lines += [f"  {net.class_labels[i]} {prediction.scores[i]:.12f}" for i in np.argsort(prediction.scores)[::-1]]
+        lines += [f"  {net.class_labels[i]} {prediction.scores[i]:.12f}"
+                  for i in np.argsort(-prediction.scores, kind="stable")]
         return "".join(line + "\n" for line in lines)
 
     @pytest.mark.parametrize("switch_interval", [None, 1e-6], ids=["default_switching", "frequent_switching"])
@@ -765,30 +779,73 @@ def depth_faults(depth, tmp_path):
     return faults
 
 
+def feature_faults(cfg, tmp_path):
+    """A config for each feature-file and ``labels.csv`` fault that ``train`` and ``eval`` must report.
+
+    Returns ``{fault: (config path, exit code)}``.  Each config's output directory holds copies of
+    the features, labels and model of ``cfg``'s, with one of them spoiled.  A feature file or a
+    labels file that disagrees with the config or with the other file exits 2; every other fault 3.
+    """
+    raw = json.loads(cfg.read_text())
+    src = Path(raw["paths"]["output_dir"])
+    kind, x = read_features(src / "features_combined.bin")
+    good, lines = (src / "features_combined.bin").read_bytes(), (src / "labels.csv").read_text().splitlines()
+    header = b"{not json"
+    spoil = {
+        "features missing": lambda f, _: f.unlink(),
+        "features directory": lambda f, _: (f.unlink(), f.mkdir()),
+        "features empty": lambda f, _: f.write_bytes(b""),
+        "features truncated": lambda f, _: f.write_bytes(good[: len(good) // 2]),
+        "features bad_magic": lambda f, _: f.write_bytes(b"HSFT0" + good[5:]),
+        "features malformed_header": lambda f, _: f.write_bytes(
+            FEATURE_MAGIC + len(header).to_bytes(4, "little") + header),
+        "features wrong_kind": lambda f, _: write_features(f, "raw", x),
+        "features wrong_width": lambda f, _: write_features(f, kind, x[:, :-1]),
+        "labels missing": lambda _, lab: lab.unlink(),
+        "labels empty": lambda _, lab: lab.write_text(""),
+        "labels header_only": lambda _, lab: lab.write_text(lines[0] + "\n"),
+        "labels one_row_short": lambda _, lab: lab.write_text("\n".join(lines[:-1]) + "\n"),
+        "labels unknown_letter": lambda _, lab: lab.write_text("\n".join([lines[0], lines[1][:-1] + "J", *lines[2:]])),
+        "labels not_utf8": lambda _, lab: lab.write_bytes(b"\n".join(l.encode() for l in lines) + b"\n\xff,A\n"),
+    }
+    mismatches = {"features wrong_kind", "features wrong_width", "labels header_only", "labels one_row_short"}
+    faults = {}
+    for name, fn in spoil.items():
+        out = tmp_path / name.replace(" ", "_")
+        shutil.copytree(src, out)
+        fn(out / "features_combined.bin", out / "labels.csv")
+        raw["paths"].update(output_dir=str(out), model=str(out / "model.hsdbn"))
+        (out / "run.json").write_text(json.dumps(raw))
+        faults[name] = (out / "run.json", 2 if name in mismatches else 3)
+    return faults
+
+
 def test_fault_matrix_exits_with_its_code_and_no_traceback(workspace, tmp_path):
     # each command runs in its own process against each fault of each artifact it reads, two processes at a time
-    cfg = copy_workspace(workspace, tmp_path)
+    cfg = str(copy_workspace(workspace, tmp_path))
     depth = next((workspace[0] / "data" / "images").glob("*_depth.pgm"))
     images = [str(depth), str(depth).replace("_depth", "_intensity")]
     runs = {}
     for fault, (path, code) in model_faults(tmp_path / "out" / "model.hsdbn", tmp_path / "models").items():
-        runs[f"predict, model {fault}"] = (["predict", "--model", str(path), *images], code)
-        runs[f"eval, model {fault}"] = (["eval", "--model", str(path)], code)
+        runs[f"predict, model {fault}"] = (["predict", "--config", cfg, "--model", str(path), *images], code)
+        runs[f"eval, model {fault}"] = (["eval", "--config", cfg, "--model", str(path)], code)
     for fault, (pair, code) in depth_faults(depth, tmp_path / "images").items():
-        runs[f"predict, depth {fault}"] = (["predict", *pair], code)
+        runs[f"predict, depth {fault}"] = (["predict", "--config", cfg, *pair], code)
+    for fault, (config, code) in feature_faults(Path(cfg), tmp_path / "features").items():
+        for command in ("train", "eval"):
+            runs[f"{command}, {fault}"] = ([command, "--config", str(config)], code)
     pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
 
     def run(argv):
-        cmd = [sys.executable, "-m", "fingerspell.cli", argv[0], "--config", str(cfg), *argv[1:]]
-        return subprocess.run(cmd, env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True,
-                              timeout=120)
+        return subprocess.run([sys.executable, "-m", "fingerspell.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=120)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         done = dict(zip(runs, pool.map(run, [argv for argv, _ in runs.values()])))
     wrong = {case: (out.returncode, out.stderr) for case, out in done.items()
              if out.returncode != runs[case][1] or "Traceback" in out.stderr or not out.stderr}
     assert not wrong
-    assert len(done) == 17
+    assert len(done) == 45
 
 
 @pytest.fixture(scope="module")
@@ -1039,15 +1096,35 @@ class TestConfigHandling:
         assert "config.rbm must be a JSON object" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
-    def test_cli_import_leaves_out_scipy_signal(self):
-        # scipy.signal costs about 50 MB and 0.4 s of every process's start-up; scipy.fft, which only the
-        # Gabor and bar kinds use, is imported on their first filter response
-        pythonpath = os.pathsep.join([str(Path(fingerspell.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-        code = ("import sys, fingerspell.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.fft'))))")
-        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
-                             check=True, capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+    def test_cli_import_leaves_out_scipy_signal(self, workspace):
+        # importing scipy.special for the sigmoid cost every process about 17 MiB and 0.17 s of start-up, and
+        # scipy.signal about 50 MB and 0.4 s; scipy.fft, which only the Gabor and bar kinds use, is imported on
+        # their first filter response
+        ws_path, cfg = workspace
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(fingerspell.__file__).parents[1]),
+                                                            os.environ.get("PYTHONPATH", "")])}
+        listing = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        code = ("import sys, fingerspell.cli; " + listing + "; "
+                "from fingerspell.dataset import gen_synthetic; from fingerspell.features import extract_features; "
+                "s = gen_synthetic(1, 1, 0)[0]; [extract_features(s.depth, s.intensity, k) for k in ('gabor', 'bar')]; "
+                + listing)
+        at_import, after_filters = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                                  capture_output=True, text=True, timeout=60).stdout.splitlines()
+        fft_alone = subprocess.run([sys.executable, "-c", "import sys, scipy.fft; " + listing], env=env, check=True,
+                                   capture_output=True, text=True, timeout=60).stdout.strip()
+        assert at_import == "[]"
+        assert after_filters == fft_alone and "scipy.fft" in fft_alone and "scipy.signal" not in fft_alone
+
+        # -X importtime lists every module the process imports, on stderr
+        depth = next((ws_path / "data" / "images").glob("*_depth.pgm"))
+        intensity = str(depth).replace("_depth", "_intensity")
+        predict = subprocess.run([sys.executable, "-X", "importtime", "-m", "fingerspell.cli", "predict", "--config",
+                                  str(cfg), str(depth), intensity], env=env, check=True, capture_output=True,
+                                 text=True, timeout=60)
+        imported = [line.rsplit("|", 1)[1].strip() for line in predict.stderr.splitlines()
+                    if line.startswith("import time:") and "|" in line]
+        assert predict.stdout.startswith("predicted: ") and "fingerspell.rbm" in imported
+        assert [m for m in imported if m.startswith("scipy")] == []
 
     def test_bad_config_is_usage_error(self, tmp_path):
         p = tmp_path / "bad.json"

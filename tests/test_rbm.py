@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,8 +12,8 @@ from scipy.special import expit
 import fingerspell.rbm as rbm_mod
 from fingerspell.errors import DimensionMismatchError, EmptyDataError
 from fingerspell.rbm import (
-    BLOCK_ROWS, SPLIT_ALIGN, SPLIT_MIN_WORK, Rbm, RbmTrainConfig, _activation, param_step,
-    sample_bernoulli, train_rbm,
+    BLOCK_ROWS, SIGMOID_CHUNK, SPLIT_ALIGN, SPLIT_MIN_WORK, Rbm, RbmTrainConfig, _activation, param_step,
+    sample_bernoulli, sigmoid, train_rbm,
 )
 
 
@@ -76,6 +77,62 @@ class TestConditionals:
         assert h is h_out and h.tobytes() == r.hidden_probabilities(v).tobytes()
         back = r.visible_probabilities(h, out=v_out)
         assert back is v_out and back.tobytes() == r.visible_probabilities(h).tobytes()
+
+
+def sigmoid_inputs(case):
+    """The inputs of one exactness case, float64."""
+    if case == "scales":
+        rng = np.random.default_rng(11)
+        return np.concatenate([rng.normal(0.0, scale, 100_000) for scale in (1e-3, 1.0, 10.0, 100.0, 1000.0)])
+    if case == "sweep":
+        return np.linspace(-745.0, 745.0, 1_000_001)
+    if case == "scaled_band":  # exp(-x) > exp(709): glibc's cexp scales these, and rounds some otherwise than exp
+        return np.linspace(-709.8, -709.0, 1_000_001)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    payload_nan = np.array([0x7FF8_0000_0000_0ABC], dtype=np.uint64).view(np.float64)[0]
+    return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, payload_nan, -payload_nan, tiny, -tiny,
+                     1e-310, -1e-310, np.finfo(np.float64).tiny, 709.0, -709.0, 709.79, -709.79, 745.2, -745.2,
+                     1e3, -1e3, 2128.0, -2128.0, 1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max])
+
+
+def column_halves(x, out):
+    """``sigmoid`` run on the two column blocks of a 2-D array, as both halves of a split product write them."""
+    cut = x.shape[1] // 2 // SPLIT_ALIGN * SPLIT_ALIGN
+    for cols in (slice(cut, None), slice(None, cut)):
+        sigmoid(x[:, cols], out[:, cols])
+    return out
+
+
+class TestSigmoid:
+    """``rbm.sigmoid`` gives ``scipy.special.expit``'s bytes without importing scipy."""
+
+    @pytest.mark.parametrize("case", ["scales", "sweep", "scaled_band", "specials"])
+    @pytest.mark.parametrize("layout", ["1-D", "C-ordered", "column blocks"])
+    @pytest.mark.parametrize("aliased", [False, True], ids=["out", "in place"])
+    def test_matches_expit_byte_for_byte(self, case, layout, aliased):
+        x = sigmoid_inputs(case)
+        if layout != "1-D":  # rows of 640 split at 320 (padded with zeros to whole rows)
+            x = np.concatenate([x, np.zeros(-len(x) % 640)]).reshape(-1, 640)
+        expected = expit(x).tobytes()
+        kept = x.copy()
+        out = x if aliased else np.full_like(x, 7.0)
+        got = column_halves(x, out) if layout == "column blocks" else sigmoid(x, out)
+        assert got is out
+        assert got.tobytes() == expected
+        if not aliased:
+            assert x.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0), (1,), (SIGMOID_CHUNK + 3,), (3, SIGMOID_CHUNK + 1)])
+    def test_chunk_edges_and_empty_arrays(self, shape):
+        x = np.random.default_rng(12).normal(0.0, 30.0, shape)
+        x.flat[:: 97] = -720.0  # recomputed elements in several chunks
+        assert sigmoid(x, np.empty_like(x)).tobytes() == expit(x).tobytes()
+
+    def test_recomputed_elements_leave_no_warning(self):
+        x = np.array([-1e3, np.nan, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(x, np.empty_like(x)).tobytes() == expit(x).tobytes()
 
 
 class TestSampleBernoulli:
